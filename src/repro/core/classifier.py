@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro.core.alternate import PrimaryReplayStore
 from repro.core.categories import ClassifiedRace, ClassificationEvidence, RaceClass
 from repro.core.config import PortendConfig
 from repro.core.multi_path import MultiPathResult, classify_multipath
@@ -85,10 +86,11 @@ def run_single_stage(
     race: RaceReport,
     config: PortendConfig,
     predicates: Sequence[SemanticPredicate] = (),
+    replays: Optional[PrimaryReplayStore] = None,
 ) -> SingleStageOutcome:
     """Run Algorithm 1 and summarize it for the downstream stages."""
     single = single_classify(
-        executor, program, trace, race, config, predicates=predicates
+        executor, program, trace, race, config, predicates=predicates, replays=replays
     )
     analysis_steps = single.primary.steps
     if single.alternate is not None:
@@ -187,17 +189,29 @@ def classify_race(
     race: RaceReport,
     config: Optional[PortendConfig] = None,
     predicates: Sequence[SemanticPredicate] = (),
+    replays: Optional[PrimaryReplayStore] = None,
 ) -> ClassifiedRace:
-    """Classify one distinct race into the four-category taxonomy."""
+    """Classify one distinct race into the four-category taxonomy.
+
+    ``replays`` is the sharing unit's store of primary replays (see
+    :class:`~repro.core.alternate.PrimaryReplayStore`); the race's replays
+    are dropped from it once the classification returns.
+    """
     config = config or PortendConfig()
     started = time.perf_counter()
-
-    outcome = run_single_stage(
-        executor, program, trace, race, config, predicates=predicates
-    )
-    if not needs_multipath(outcome, config):
-        return finalize_single(race, outcome, config, time.perf_counter() - started)
-    multi = classify_multipath(
-        executor, program, trace, race, config, predicates=predicates
-    )
-    return finalize_multipath(race, outcome, multi, config, time.perf_counter() - started)
+    if replays is None:
+        replays = PrimaryReplayStore([race.race_id])
+    try:
+        outcome = run_single_stage(
+            executor, program, trace, race, config, predicates=predicates, replays=replays
+        )
+        if not needs_multipath(outcome, config):
+            return finalize_single(race, outcome, config, time.perf_counter() - started)
+        multi = classify_multipath(
+            executor, program, trace, race, config, predicates=predicates, replays=replays
+        )
+        return finalize_multipath(
+            race, outcome, multi, config, time.perf_counter() - started
+        )
+    finally:
+        replays.release(race.race_id)

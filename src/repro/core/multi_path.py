@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.alternate import AlternateStatus, replay_primary, run_alternate
+from repro.core.alternate import AlternateStatus, PrimaryReplayStore, run_alternate
 from repro.core.categories import (
     ClassificationEvidence,
     RaceClass,
@@ -140,12 +140,15 @@ def analyze_primary_path(
     config: PortendConfig,
     path: PrimaryPath,
     predicates: Sequence[SemanticPredicate] = (),
+    replays: Optional[PrimaryReplayStore] = None,
 ) -> PathVerdict:
     """Analyze one primary path: replay it and run its Ma alternates.
 
     The verdict records only this path's own contribution; it stops at the
     first specification violation (as the serial loop would) so the partial
-    schedule/witness counters match the serial accumulation exactly.
+    schedule/witness counters match the serial accumulation exactly.  The
+    replay comes from ``replays`` when given, so a path whose inputs are
+    the trace's reuses the single stage's pass.
     """
     verdict = PathVerdict(path_index=path.index, symbolic_branches=path.symbolic_branches)
 
@@ -161,9 +164,9 @@ def analyze_primary_path(
         return verdict
 
     same_inputs = path.concrete_inputs == dict(trace.concrete_inputs)
-    primary_replay = replay_primary(
+    store = replays if replays is not None else PrimaryReplayStore()
+    primary_replay = store.replay(
         executor,
-        program,
         trace,
         race,
         concrete_inputs=path.concrete_inputs,
@@ -326,6 +329,7 @@ def classify_multipath(
     race: RaceReport,
     config: PortendConfig,
     predicates: Sequence[SemanticPredicate] = (),
+    replays: Optional[PrimaryReplayStore] = None,
 ) -> MultiPathResult:
     """Run the multi-path (and optionally multi-schedule) analysis for a race.
 
@@ -341,7 +345,8 @@ def classify_multipath(
     verdicts: List[PathVerdict] = []
     for path in primaries:
         verdict = analyze_primary_path(
-            executor, program, trace, race, config, path, predicates=predicates
+            executor, program, trace, race, config, path,
+            predicates=predicates, replays=replays,
         )
         verdicts.append(verdict)
         if verdict.spec_violated:

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.alternate import PrimaryReplayStore
 from repro.core.categories import ClassifiedRace, RaceClass
 from repro.core.classifier import classify_race
 from repro.core.config import PortendConfig
@@ -174,13 +175,21 @@ class Portend:
                 workers=parallel,
             )
         else:
+            # One replay pass serves every race of the trace (see
+            # PrimaryReplayStore); each race's replays go once it is done.
+            replays = PrimaryReplayStore(race.race_id for race in selected)
             for race in selected:
-                result.classified.append(self.classify_race(trace, race))
+                result.classified.append(self.classify_race(trace, race, replays))
         result.classification_seconds = time.perf_counter() - started
         return result
 
-    def classify_race(self, trace: ExecutionTrace, race: RaceReport) -> ClassifiedRace:
-        """Classify a single distinct race."""
+    def classify_race(
+        self,
+        trace: ExecutionTrace,
+        race: RaceReport,
+        replays: Optional[PrimaryReplayStore] = None,
+    ) -> ClassifiedRace:
+        """Classify a single distinct race (sharing ``replays`` when given)."""
         return classify_race(
             self.executor,
             self.program,
@@ -188,6 +197,7 @@ class Portend:
             race,
             config=self.config,
             predicates=self.predicates,
+            replays=replays,
         )
 
     # -------------------------------------------------------------- pipeline

@@ -15,7 +15,7 @@ from repro.core.alternate import (
     AlternateResult,
     AlternateStatus,
     PrimaryReplay,
-    replay_primary,
+    PrimaryReplayStore,
     run_alternate,
 )
 from repro.core.categories import (
@@ -89,16 +89,19 @@ def single_classify(
     concrete_inputs: Optional[Dict[str, int]] = None,
     use_steps: bool = True,
     capture_post_race_snapshot: bool = True,
+    replays: Optional[PrimaryReplayStore] = None,
 ) -> SinglePrePostResult:
     """Run Algorithm 1 (singleClassify) for one race.
 
     Returns a verdict among ``SPEC_VIOLATED``, ``OUTPUT_DIFFERS``,
-    ``SINGLE_ORDERING`` and the intermediate ``OUTPUT_SAME``.
+    ``SINGLE_ORDERING`` and the intermediate ``OUTPUT_SAME``.  The primary
+    replay comes from ``replays`` (a pass shared with the other races of the
+    unit) or, without a store, from a pass of this race alone.
     """
     evidence = ClassificationEvidence()
-    primary = replay_primary(
+    store = replays if replays is not None else PrimaryReplayStore()
+    primary = store.replay(
         executor,
-        program,
         trace,
         race,
         concrete_inputs=concrete_inputs,

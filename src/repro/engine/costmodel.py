@@ -59,6 +59,14 @@ the fix for the old wide-queue fallback, under which a batch needing
 irregular time per task could load-balance badly across the pool.  The upper
 bound is ``max(1, count // (workers * waves))`` payloads per chunk, so no
 single chunk can serialize the whole queue onto one worker.
+
+**Race-granularity classification chunks** are the exception to cost-model
+sizing: :meth:`CostModel.race_chunk_size` is that upper bound alone.  Such a
+chunk is a primary replay sharing unit (one replay pass serves all of a
+trace's races in it), so where its boundaries fall decides which task runs
+each pass and what each task's ``interp_stats`` counters say.  They must be
+a pure function of the queue length and the worker count, never of EWMA
+state that evolved in completion order.
 """
 
 from __future__ import annotations
@@ -263,6 +271,11 @@ class CostModel:
         at-least-``min(count, workers)``-chunks invariant."""
         waves = 2 if count >= 2 * workers else 1
         return max(1, count // (workers * waves))
+
+    def race_chunk_size(self, count: int, workers: int) -> int:
+        """Payloads per race-granularity classification chunk (see the
+        module docstring): deterministic, never cost-sized."""
+        return self._chunk_upper(count, max(1, workers))
 
     def chunk_size(
         self, kind: str, fingerprint: str, count: int, workers: int

@@ -825,13 +825,14 @@ class PoolDispatcher:
                     self.pool_unavailable = True
             else:
                 self.pool_unavailable = True
-        # Serial fallback: run the same task code in-process -- and still
-        # feed the cost model, so a serial (or cold-pool) run warms the
-        # sidecar that later parallel runs schedule from.
+        # Serial fallback: run the same chunk entry in-process -- the whole
+        # queue as one chunk, so each trace's classifications share one
+        # replay store -- and still feed the cost model, so a serial (or
+        # cold-pool) run warms the sidecar that later parallel runs
+        # schedule from.
         kind = worker_kind(worker)
         outputs = []
-        for payload in payloads:
-            output = worker(payload)
+        for payload, output in zip(payloads, execute_payload_chunk(worker, payloads)):
             validate_worker_output(kind, payload, output)
             self.cost_model.observe_output(kind, payload_fingerprint(payload), output)
             outputs.append(output)
@@ -851,7 +852,22 @@ class PoolDispatcher:
         and malformed results along the way (see the module docstring).
         """
         kind = worker_kind(worker)
-        chunks = self.cost_model.pack_chunks(kind, payloads, self.workers)
+        if kind == "classify":
+            # Classification chunks are replay sharing units: contiguous
+            # (one trace's races stay together) and sized deterministically.
+            size = self.cost_model.race_chunk_size(len(payloads), self.workers)
+            chunks = [
+                (
+                    list(range(start, min(start + size, len(payloads)))),
+                    sum(
+                        self.cost_model.estimate(kind, payload_fingerprint(payload))
+                        for payload in payloads[start : start + size]
+                    ),
+                )
+                for start in range(0, len(payloads), size)
+            ]
+        else:
+            chunks = self.cost_model.pack_chunks(kind, payloads, self.workers)
         supervisor = self.supervise(pool)
         for position, (indices, estimate) in enumerate(chunks):
             supervisor.submit(

@@ -193,8 +193,9 @@ class EngineOptions:
     #: is the legacy fresh-pool-per-stage behaviour
     dispatch: str = field(default_factory=_default_dispatch)
     #: the cost-aware scheduler's per-chunk wall-clock target, in
-    #: milliseconds: chunks are sized so each runs for roughly this long
-    #: (see :mod:`repro.engine.costmodel`)
+    #: milliseconds: plan and path chunks are sized so each runs for roughly
+    #: this long (see :mod:`repro.engine.costmodel`; race-granularity
+    #: classification chunks keep a deterministic size)
     chunk_target_ms: int = field(default_factory=_default_chunk_target_ms)
     #: append the run's structured event stream to this JSON-lines file when
     #: set (see :mod:`repro.engine.events`); None disables the write -- the
@@ -773,8 +774,12 @@ class AnalysisEngine:
         supervisor = self._dispatcher.supervise(pool, wait_fn=wait)
 
         def submit_chunks(kind, stage_misses, payloads, fingerprint, index):
-            """Submit one logical batch as cost-sized chunk futures."""
-            size = model.chunk_size(kind, fingerprint, len(payloads), workers)
+            """Submit one logical batch as chunk futures: cost-sized for
+            paths, deterministic for classifications (replay sharing units)."""
+            if kind == "classify":
+                size = model.race_chunk_size(len(payloads), workers)
+            else:
+                size = model.chunk_size(kind, fingerprint, len(payloads), workers)
             estimate = model.estimate(kind, fingerprint)
             worker_fn = execute_task if kind == "classify" else execute_path_task
             for start in range(0, len(payloads), size):

@@ -29,6 +29,9 @@ kind                         fields
                              (bool), ``worker_hit`` (solver tier only)
 ``classification_computed``  ``workload``, ``race``
 ``primary``                  ``shipped`` (bool) -- path-task primary reuse
+``primary_replay``           ``races`` (races the pass served),
+                             ``trace_inputs`` (bool: the trace's own inputs)
+                             -- one per primary replay pass (worker)
 ``solver_query``             ``backend``, ``result``, ``cached``,
                              ``worker_hit``, ``seconds`` (worker, per query)
 ``solver_stats``             ``backend`` + a ``SolverStats.to_dict()`` snapshot
@@ -71,6 +74,7 @@ kind                         fields
 Folding semantics (:func:`fold_events`): ``trace_recorded`` increments
 ``traces_recorded``; ``cache`` events increment the hit/miss counter of
 their tier; ``classification_computed`` and ``primary`` count themselves;
+``primary_replay`` counts ``primary_replays``;
 ``solver_stats`` snapshots are absorbed into the ``solver_*`` counters
 (``solver_query`` events are *per-query detail* and deliberately **not**
 folded -- the per-task snapshot already aggregates them, and folding both
@@ -109,6 +113,7 @@ EVENT_KINDS = (
     "cache",
     "classification_computed",
     "primary",
+    "primary_replay",
     "solver_query",
     "solver_stats",
     "interp_stats",
@@ -248,6 +253,8 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
                 stats.primaries_shipped += 1
             else:
                 stats.primaries_reexplored += 1
+        elif kind == "primary_replay":
+            stats.primary_replays += 1
         elif kind == "solver_stats":
             # The per-task aggregate; per-query ``solver_query`` events are
             # detail for histograms and must not be folded on top.
@@ -347,8 +354,9 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
 
     Returns a dict with: by-kind counts, the folded stats, per-stage task
     latency histograms (with p50/p95 percentiles), cache hit rates by tier,
-    solver time/query counts grouped by backend, and the cost-aware
-    scheduler's chunk decisions (estimated vs. actual seconds per stage).
+    solver time/query counts grouped by backend, the cost-aware
+    scheduler's chunk decisions (estimated vs. actual seconds per stage),
+    and primary replay passes with the races they served.
     """
     by_kind: Dict[str, int] = {}
     stage_latencies: Dict[str, List[float]] = {}
@@ -357,6 +365,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     interpreters: Dict[str, Dict[str, int]] = {}
     decisions: Dict[str, Dict[str, float]] = {}
     speculation = {"races": 0, "predicted": 0, "hits": 0, "wasted": 0}
+    replays = {"passes": 0, "races": 0, "trace_inputs": 0}
     recovery: Dict[str, object] = {
         "retries": 0,
         "respawns": 0,
@@ -416,6 +425,10 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             entry["seconds"] += float(event.get("seconds", 0.0))
             entry["enumerated"] += int(event.get("enumerated_assignments", 0))
             entry["fastpath"] += int(event.get("fastpath_answers", 0))
+        elif kind == "primary_replay":
+            replays["passes"] += 1
+            replays["races"] += int(event.get("races", 0))
+            replays["trace_inputs"] += int(bool(event.get("trace_inputs")))
         elif kind == "task_retry":
             recovery["retries"] += 1
             _recovery_stage(event, "retries")
@@ -479,6 +492,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         "interpreters": dict(sorted(interpreters.items())),
         "scheduler_decisions": dict(sorted(decisions.items())),
         "speculation": speculation,
+        "primary_replays": replays,
         "recovery": recovery,
     }
 
@@ -527,6 +541,18 @@ def render_events_info(events: Sequence[Event]) -> str:
         )
     else:
         lines.append("  (no speculation events)")
+    lines.append("")
+    lines.append("primary replay sharing:")
+    replays = summary["primary_replays"]
+    if replays["passes"]:
+        lines.append(
+            f"  primary_replays={replays['passes']} "
+            f"races_served={replays['races']} "
+            f"trace_inputs={replays['trace_inputs']} "
+            f"races_per_pass={replays['races'] / replays['passes']:.1f}"
+        )
+    else:
+        lines.append("  (no primary_replay events)")
     lines.append("")
     lines.append("recovery:")
     recovery = summary["recovery"]

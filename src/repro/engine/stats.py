@@ -79,6 +79,10 @@ class EngineStats:
     #: copy-on-write materializations (containers/threads/frames copied on
     #: first write after a fork)
     interp_cow_copies: int = 0
+    #: primary replay passes run by dispatched tasks; one pass serves every
+    #: race of its sharing unit (a race-granularity chunk's trace, or one
+    #: trace's queue when serial)
+    primary_replays: int = 0
     #: task executions re-submitted after a worker crash, deadline expiry,
     #: or malformed result (supervision layer)
     task_retries: int = 0
@@ -120,6 +124,7 @@ class EngineStats:
         self.interp_statements = 0
         self.interp_forks = 0
         self.interp_cow_copies = 0
+        self.primary_replays = 0
         self.task_retries = 0
         self.pool_respawns = 0
         self.tasks_quarantined = 0
@@ -152,6 +157,7 @@ class EngineStats:
         self.interp_statements += other.interp_statements
         self.interp_forks += other.interp_forks
         self.interp_cow_copies += other.interp_cow_copies
+        self.primary_replays += other.primary_replays
         self.task_retries += other.task_retries
         self.pool_respawns += other.pool_respawns
         self.tasks_quarantined += other.tasks_quarantined
@@ -215,6 +221,7 @@ class EngineStats:
             f"interp statements={self.interp_statements}, "
             f"interp forks={self.interp_forks}, "
             f"interp cow copies={self.interp_cow_copies}, "
+            f"primary replays={self.primary_replays}, "
             f"task retries={self.task_retries}, "
             f"pool respawns={self.pool_respawns}, "
             f"tasks quarantined={self.tasks_quarantined}, "

@@ -271,17 +271,47 @@ def execute_payload_chunk(worker, payloads: Sequence[Mapping]) -> list:
 
     The streaming dispatcher batches wide queues into chunks to amortize the
     per-future submission overhead, mirroring ``pool.map``'s ``chunksize``.
+    The classification tasks of one trace in the chunk form one primary
+    replay sharing unit: they run through one
+    :class:`~repro.core.alternate.PrimaryReplayStore`, so a single replay
+    pass serves all of their races.  The serial dispatcher runs a whole
+    queue through this same entry.
     """
-    return [worker(payload) for payload in payloads]
+    if worker is not execute_task:
+        return [worker(payload) for payload in payloads]
+    from repro.core.alternate import PrimaryReplayStore
+
+    race_ids: Dict[str, list] = {}
+    for payload in payloads:
+        race_ids.setdefault(payload.get("trace_token"), []).append(payload["race_id"])
+    stores = {
+        token: PrimaryReplayStore(ids)
+        for token, ids in race_ids.items()
+        if token is not None
+    }
+    return [
+        execute_task(payload, stores.get(payload.get("trace_token")))
+        for payload in payloads
+    ]
 
 
-def execute_task(payload: Mapping) -> Dict:
+def _emit_replays(events: EventBuffer, replays, since: int) -> None:
+    """One ``primary_replay`` event per pass the task's store ran since
+    ``since`` (the task that triggers a pass runs it and reports it)."""
+    for entry in replays.pass_log[since:]:
+        events.emit("primary_replay", **entry)
+
+
+def execute_task(payload: Mapping, replays=None) -> Dict:
     """Classify one race of a workload (worker entry point).
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
     pickle it.  Returns the classified race plus the task's solver counters
     (the driving process aggregates them into ``repro.engine.stats``).
+    ``replays`` is the chunk's replay store for this task's trace (see
+    :func:`execute_payload_chunk`); without one the task replays alone.
     """
+    from repro.core.alternate import PrimaryReplayStore
     from repro.engine.faults import maybe_inject_fault
 
     task = ClassificationTask.from_payload(payload)
@@ -293,7 +323,11 @@ def execute_task(payload: Mapping) -> Dict:
     events, started = _begin_task("classify", task.workload, race=task.race_id)
     portend = _build_portend(task, program, config, predicates, events)
     race = trace.race_by_id(task.race_id)
-    classified = portend.classify_race(trace, race).to_dict()
+    if replays is None:
+        replays = PrimaryReplayStore([task.race_id])
+    since = len(replays.pass_log)
+    classified = portend.classify_race(trace, race, replays).to_dict()
+    _emit_replays(events, replays, since)
     snapshot, event_list = _finish_task(
         events, "classify", task.workload, started, portend, race=task.race_id
     )
@@ -398,6 +432,7 @@ class PlanTask(ClassificationTask):
 
 def execute_plan_task(payload: Mapping) -> Dict:
     """Run the single stage for one race and plan its path fan-out."""
+    from repro.core.alternate import PrimaryReplayStore
     from repro.core.classifier import needs_multipath, run_single_stage
     from repro.explore.paths import MultiPathExplorer
 
@@ -414,9 +449,17 @@ def execute_plan_task(payload: Mapping) -> Dict:
     race = trace.race_by_id(task.race_id)
 
     started = time.perf_counter()
+    replays = PrimaryReplayStore([task.race_id])
     outcome = run_single_stage(
-        portend.executor, portend.program, trace, race, config, predicates=predicates
+        portend.executor,
+        portend.program,
+        trace,
+        race,
+        config,
+        predicates=predicates,
+        replays=replays,
     )
+    _emit_replays(events, replays, 0)
     plan = {
         "race_id": task.race_id,
         "single": outcome.to_dict(),
@@ -494,6 +537,7 @@ class PathTask(ClassificationTask):
 
 def execute_path_task(payload: Mapping) -> Dict:
     """Analyze one primary path of one race (worker entry point)."""
+    from repro.core.alternate import PrimaryReplayStore
     from repro.core.multi_path import analyze_primary_path
     from repro.explore.paths import PrimaryPath, explore_primary
 
@@ -561,6 +605,7 @@ def execute_path_task(payload: Mapping) -> Dict:
                 f"exploration of race {task.race_id} in {task.workload!r} yielded no "
                 f"primary path at index {task.path_index}"
             )
+    replays = PrimaryReplayStore([task.race_id])
     verdict = analyze_primary_path(
         portend.executor,
         portend.program,
@@ -569,7 +614,9 @@ def execute_path_task(payload: Mapping) -> Dict:
         config,
         path,
         predicates=predicates,
+        replays=replays,
     )
+    _emit_replays(events, replays, 0)
     seconds = time.perf_counter() - started
     events.emit("primary", shipped=not reexplored)
     snapshot, event_list = _finish_task(

@@ -102,8 +102,10 @@ def main(argv=None) -> int:
         default=500,
         metavar="MS",
         help="per-chunk wall-clock target for the cost-aware scheduler: wide "
-        "task queues are packed into chunks estimated to run roughly this "
-        "long (default 500; see the costmodel.json sidecar in --cache-dir)",
+        "plan and path queues are packed into chunks estimated to run roughly "
+        "this long (default 500; see the costmodel.json sidecar in "
+        "--cache-dir); race-granularity classification chunks are replay "
+        "sharing units and keep a deterministic size",
     )
     parser.add_argument(
         "--warm-tier",

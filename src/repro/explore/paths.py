@@ -213,12 +213,12 @@ class MultiPathExplorer:
             worklist.extend(result.forks)
 
             if result.status is not RunStatus.COMPLETED:
-                self._prune(state, f"execution did not complete ({result.status.value})")
+                self._prune(f"execution did not complete ({result.status.value})")
                 continue
             race_step = state.notes.get(_RaceReachedTracker.NOTE_RACE)
             if race_step is None:
                 # This path never exercised the target race: prune (§3.3).
-                self._prune(state, "path never exercised the target race")
+                self._prune("path never exercised the target race")
                 continue
             if policy.diverged and (
                 policy.divergence_step is None or policy.divergence_step < race_step
@@ -227,7 +227,6 @@ class MultiPathExplorer:
                 # the recorded schedule trace, prune it.
                 detail = policy.divergence_reason or "unknown divergence"
                 self._prune(
-                    state,
                     f"schedule diverged before the race at step "
                     f"{policy.divergence_step}: {detail}",
                 )
@@ -235,7 +234,7 @@ class MultiPathExplorer:
 
             concrete_inputs = self._solve_inputs(state)
             if concrete_inputs is None:
-                self._prune(state, "path condition has no concrete input model")
+                self._prune("path condition has no concrete input model")
                 continue
             primaries.append(
                 PrimaryPath(
@@ -254,9 +253,13 @@ class MultiPathExplorer:
 
     # -------------------------------------------------------------- internals
 
-    def _prune(self, state: ExecutionState, reason: str) -> None:
+    def _prune(self, reason: str) -> None:
+        # The pruned state is the one just popped.  Name it by that
+        # exploration order, not by its process-global state_id: the id
+        # depends on every clone the process made before, so serial and
+        # pooled runs would word the same prune differently.
         self.states_pruned += 1
-        self.prune_reasons.append(f"state {state.state_id}: {reason}")
+        self.prune_reasons.append(f"state {self.states_explored}: {reason}")
 
     def _policy_for(self, state: ExecutionState) -> ReplayPolicy:
         """Resume trace replay at the decision this state has already reached.

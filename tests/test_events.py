@@ -122,6 +122,7 @@ class TestFoldSemantics:
             make_event("classification_computed", workload="w", race="r"),
             make_event("primary", shipped=True),
             make_event("primary", shipped=False),
+            make_event("primary_replay", races=3, trace_inputs=True),
             make_event(
                 "solver_stats",
                 backend="default",
@@ -145,6 +146,7 @@ class TestFoldSemantics:
         assert stats.classifications_computed == 1
         assert stats.primaries_shipped == 1
         assert stats.primaries_reexplored == 1
+        assert stats.primary_replays == 1
         assert stats.solver_queries == 7
         assert stats.solver_cache_hits == 2
         assert stats.solver_cache_misses == 5

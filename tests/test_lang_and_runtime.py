@@ -412,3 +412,44 @@ class TestReplayDivergenceDiagnostics:
         )
         explorer.explore()
         assert len(explorer.prune_reasons) == explorer.states_pruned
+
+    def test_prune_reasons_do_not_depend_on_earlier_clones(self):
+        # Prune reasons name a state by its exploration order, not by its
+        # process-global state id: the text must not change with how many
+        # states the process cloned beforehand (pooled and serial runs
+        # clone different numbers of states before the same exploration).
+        from repro.core import Portend
+        from repro.explore.paths import MultiPathExplorer
+
+        b = ProgramBuilder("gated-prune")
+        b.global_var("shared", 0)
+        worker = b.function("worker")
+        worker.assign(glob("shared"), 1)
+        worker.ret()
+        main = b.function("main")
+        main.input("mode", "mode", 0, 3, default=1)
+        main.spawn("t", "worker")
+        with main.if_(ge(local("mode"), 1)):
+            main.assign(local("snap"), glob("shared"))
+        main.join(local("t"))
+        main.output("stdout", [0])
+        main.ret()
+        portend = Portend(b.build())
+        trace = portend.record({"mode": 1})
+        assert trace.races
+
+        def reasons():
+            explorer = MultiPathExplorer(
+                portend.executor, portend.program, trace, trace.races[0]
+            )
+            explorer.explore()
+            assert len(explorer.prune_reasons) == explorer.states_pruned
+            return explorer.prune_reasons
+
+        first = reasons()
+        assert any("never exercised the target race" in r for r in first)
+        assert reasons() == first
+        state = portend.executor.initial_state()
+        for _ in range(17):
+            state = state.clone()
+        assert reasons() == first
