@@ -21,7 +21,12 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.core.alternate import AlternateStatus, replay_primary, run_alternate
+from repro.core.alternate import (
+    AlternateStatus,
+    alternate_timeout,
+    replay_primary,
+    run_alternate,
+)
 from repro.core.spec import outcome_is_spec_violation
 from repro.detection.race_report import RaceReport
 from repro.lang.program import Program
@@ -86,9 +91,7 @@ class RecordReplayAnalyzer:
                 primary_steps=primary.steps,
             )
 
-        timeout_steps = min(
-            max(1_000, self.timeout_factor * primary.steps), self.max_steps
-        )
+        timeout_steps = alternate_timeout(primary.steps, self.timeout_factor, self.max_steps)
         alternate = run_alternate(
             self.executor,
             self.program,

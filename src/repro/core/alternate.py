@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.config import PortendConfig
 from repro.core.spec import SemanticPredicate, SpecChecker, diagnose_timeout
 from repro.detection.race_report import RaceReport
 from repro.lang.ast import SYNC_STMTS
@@ -102,12 +103,22 @@ class _RaceAccessWatcher(ExecutionListener):
             and access.location.name == location.name
         )
 
+    @property
+    def spin_skip_safe(self) -> bool:  # type: ignore[override]
+        # Until it fires the watcher matches accesses by thread and
+        # location only, so a spin that did not fire it never will.
+        return not self.seen
+
     def on_access(self, state, access: MemoryAccess) -> None:
         if self.seen or access.tid != self.tid:
             return
         if self._same_variable(access):
             self.seen = True
             self.seen_pc = access.pc
+
+    def fired(self, state: ExecutionState, tid: int, stmt) -> bool:
+        """Stop predicate: the watched access has happened."""
+        return self.seen
 
 
 @dataclass
@@ -467,6 +478,18 @@ class PrimaryReplayStore:
                 del self._passes[key]
 
 
+def alternate_timeout(
+    primary_steps: int,
+    timeout_factor: int = PortendConfig.timeout_factor,
+    max_steps: Optional[int] = None,
+) -> int:
+    """The alternate's step budget: ``timeout_factor`` × the primary's
+    steps, at least 1,000 (§4, Algorithm 1 line 8), and at most
+    ``max_steps`` when given."""
+    budget = max(1_000, timeout_factor * primary_steps)
+    return budget if max_steps is None else min(budget, max_steps)
+
+
 def run_alternate(
     executor: Executor,
     program: Program,
@@ -481,9 +504,9 @@ def run_alternate(
     """Enforce the alternate ordering of the racing accesses and run onwards.
 
     ``primary`` comes from :func:`replay_primaries` or
-    :func:`replay_primary` (its pre-race checkpoint seeds the alternate).  ``timeout_steps`` bounds the
-    enforcement and the post-race execution; the default is
-    ``timeout_factor × primary.steps`` as in §4.
+    :func:`replay_primary` (its pre-race checkpoint seeds the alternate).
+    ``timeout_steps`` bounds the enforcement and the post-race execution;
+    the default is :func:`alternate_timeout` at the default factor.
     """
     if primary.pre_race_checkpoint is None:
         return AlternateResult(
@@ -497,7 +520,7 @@ def run_alternate(
     # charge this run's statements to the executor running it.
     state = primary.pre_race_checkpoint.clone()
     state.attach_counters(executor.counters)
-    budget = timeout_steps if timeout_steps is not None else max(1000, 5 * primary.steps)
+    budget = timeout_steps if timeout_steps is not None else alternate_timeout(primary.steps)
     listeners = _spec_listeners(predicates)
     watcher = _RaceAccessWatcher(race, second.tid)
     locator = RacePointLocator(race, use_steps=False)
@@ -512,16 +535,13 @@ def run_alternate(
     enforcement.forbid(first.tid)
     enforcement.prefer(second.tid)
 
-    def stop_after_enforced(state_, tid, stmt) -> bool:
-        return watcher.seen
-
     result = executor.run(
         state,
         policy=enforcement,
         listeners=listeners + [watcher],
         max_steps=budget,
         watched_pcs=watched,
-        stop_after=stop_after_enforced,
+        stop_after=watcher.fired,
     )
 
     if not watcher.seen:
@@ -572,7 +592,7 @@ def run_alternate(
             listeners=listeners + [follower],
             max_steps=min(budget, 5_000),
             watched_pcs=watched,
-            stop_after=lambda s, t, st: follower.seen,
+            stop_after=follower.fired,
         )
         snapshot = state.memory.snapshot()
 

@@ -21,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.alternate import AlternateStatus, PrimaryReplayStore, run_alternate
+from repro.core.alternate import (
+    AlternateStatus,
+    PrimaryReplayStore,
+    alternate_timeout,
+    run_alternate,
+)
 from repro.core.categories import (
     ClassificationEvidence,
     RaceClass,
@@ -188,9 +193,8 @@ def analyze_primary_path(
         verdict.reached_race = False
         return verdict
 
-    timeout_steps = min(
-        max(1_000, config.timeout_factor * primary_replay.steps),
-        config.max_steps_per_execution,
+    timeout_steps = alternate_timeout(
+        primary_replay.steps, config.timeout_factor, config.max_steps_per_execution
     )
     policies = alternate_schedule_policies(
         config.effective_ma(), config.race_seed(race.race_id, path.index)

@@ -16,6 +16,7 @@ from repro.core.alternate import (
     AlternateStatus,
     PrimaryReplay,
     PrimaryReplayStore,
+    alternate_timeout,
     run_alternate,
 )
 from repro.core.categories import (
@@ -117,7 +118,6 @@ def single_classify(
         evidence.alternate_enforced = False
         return SinglePrePostResult(RaceClass.OUTPUT_SAME, primary, None, evidence)
 
-    timeout_steps = max(1_000, config.timeout_factor * primary.steps)
     alternate = run_alternate(
         executor,
         program,
@@ -126,7 +126,9 @@ def single_classify(
         primary,
         post_race_policy=RoundRobinPolicy(),
         predicates=predicates,
-        timeout_steps=min(timeout_steps, config.max_steps_per_execution),
+        timeout_steps=alternate_timeout(
+            primary.steps, config.timeout_factor, config.max_steps_per_execution
+        ),
         capture_post_race_snapshot=capture_post_race_snapshot,
     )
 

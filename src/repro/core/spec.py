@@ -63,6 +63,12 @@ class SpecChecker(ExecutionListener):
         self.predicates = list(predicates)
         self.violated: Optional[SemanticPredicate] = None
 
+    @property
+    def spin_skip_safe(self) -> bool:  # type: ignore[override]
+        # Predicates read shared state after writes; only a checker with
+        # nothing to check is indifferent to skipped steps.
+        return not self.predicates
+
     def _check(self, state: ExecutionState, tid: int, pc: int, label: str) -> None:
         if self.violated is not None or state.outcome is not None:
             return

@@ -38,8 +38,8 @@ kind                         fields
                              (one per task, the aggregate of its queries)
 ``interp_stats``             ``interp`` (kernel name) + the executor's
                              ``InterpCounters.to_dict()`` snapshot
-                             (``statements``, ``forks``, ``cow_copies``;
-                             one per task)
+                             (``statements``, ``forks``, ``cow_copies``,
+                             ``spin_steps_skipped``; one per task)
 ``pool``                     ``action`` (created/reused)
 ``stage_overlap``            ``seconds``, ``channel`` (``plan_path`` when
                              absent; ``record_classify`` for the full-stream
@@ -449,12 +449,17 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             interp = str(event.get("interp", "tree"))
             entry = interpreters.setdefault(
                 interp,
-                {"tasks": 0, "statements": 0, "forks": 0, "cow_copies": 0},
+                {
+                    "tasks": 0,
+                    "statements": 0,
+                    "forks": 0,
+                    "cow_copies": 0,
+                    "spin_steps_skipped": 0,
+                },
             )
             entry["tasks"] += 1
-            entry["statements"] += int(event.get("statements", 0))
-            entry["forks"] += int(event.get("forks", 0))
-            entry["cow_copies"] += int(event.get("cow_copies", 0))
+            for name in ("statements", "forks", "cow_copies", "spin_steps_skipped"):
+                entry[name] += int(event.get(name, 0))
     histograms = {
         stage: {
             "count": len(latencies),
@@ -607,7 +612,8 @@ def render_events_info(events: Sequence[Event]) -> str:
             f"  {interp}: tasks={data['tasks']} "
             f"statements={data['statements']} "
             f"forks={data['forks']} "
-            f"cow_copies={data['cow_copies']}"
+            f"cow_copies={data['cow_copies']} "
+            f"spin_steps_skipped={data['spin_steps_skipped']}"
         )
     if not summary["interpreters"]:
         lines.append("  (no interp_stats events)")

@@ -79,6 +79,10 @@ class EngineStats:
     #: copy-on-write materializations (containers/threads/frames copied on
     #: first write after a fork)
     interp_cow_copies: int = 0
+    #: interpreter statements jumped over by spin fast-forward; with
+    #: ``interp_statements`` it sums to what the interpreter would have
+    #: executed without it
+    spin_steps_skipped: int = 0
     #: primary replay passes run by dispatched tasks; one pass serves every
     #: race of its sharing unit (a race-granularity chunk's trace, or one
     #: trace's queue when serial)
@@ -124,6 +128,7 @@ class EngineStats:
         self.interp_statements = 0
         self.interp_forks = 0
         self.interp_cow_copies = 0
+        self.spin_steps_skipped = 0
         self.primary_replays = 0
         self.task_retries = 0
         self.pool_respawns = 0
@@ -157,6 +162,7 @@ class EngineStats:
         self.interp_statements += other.interp_statements
         self.interp_forks += other.interp_forks
         self.interp_cow_copies += other.interp_cow_copies
+        self.spin_steps_skipped += other.spin_steps_skipped
         self.primary_replays += other.primary_replays
         self.task_retries += other.task_retries
         self.pool_respawns += other.pool_respawns
@@ -196,6 +202,7 @@ class EngineStats:
         self.interp_statements += payload.get("statements", 0)
         self.interp_forks += payload.get("forks", 0)
         self.interp_cow_copies += payload.get("cow_copies", 0)
+        self.spin_steps_skipped += payload.get("spin_steps_skipped", 0)
 
     def summary(self) -> str:
         return (
@@ -221,6 +228,7 @@ class EngineStats:
             f"interp statements={self.interp_statements}, "
             f"interp forks={self.interp_forks}, "
             f"interp cow copies={self.interp_cow_copies}, "
+            f"spin steps skipped={self.spin_steps_skipped}, "
             f"primary replays={self.primary_replays}, "
             f"task retries={self.task_retries}, "
             f"pool respawns={self.pool_respawns}, "

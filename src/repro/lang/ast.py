@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 
 # --------------------------------------------------------------------------
@@ -585,3 +585,80 @@ def expression_reads(expr: ExprLike):
         yield from expression_reads(expr.right)
     elif isinstance(expr, UnOp):
         yield from expression_reads(expr.operand)
+
+
+def expression_locals(expr: ExprLike) -> Iterator[str]:
+    """Yield the names of the thread-local variables ``expr`` reads."""
+    expr = as_expr(expr)
+    if isinstance(expr, LocalRef):
+        yield expr.name
+    elif isinstance(expr, ArrayRef):
+        yield from expression_locals(expr.index)
+    elif isinstance(expr, HeapRef):
+        yield from expression_locals(expr.pointer)
+        yield from expression_locals(expr.index)
+    elif isinstance(expr, BinOp):
+        yield from expression_locals(expr.left)
+        yield from expression_locals(expr.right)
+    elif isinstance(expr, UnOp):
+        yield from expression_locals(expr.operand)
+
+
+def statement_expressions(stmt: Stmt) -> Iterator[Expr]:
+    """The top-level expressions the executor evaluates for ``stmt``."""
+    if isinstance(stmt, Assign):
+        yield stmt.value
+        target = stmt.target
+        if isinstance(target, ArrayRef):
+            yield target.index
+        elif isinstance(target, HeapRef):
+            yield target.pointer
+            yield target.index
+    elif isinstance(stmt, (If, While, Assert)):
+        yield stmt.cond
+    elif isinstance(stmt, (Spawn, Call)):
+        yield from stmt.args
+    elif isinstance(stmt, Join):
+        yield stmt.thread
+    elif isinstance(stmt, Output):
+        yield from stmt.values
+    elif isinstance(stmt, Return):
+        if stmt.value is not None:
+            yield stmt.value
+    elif isinstance(stmt, Malloc):
+        yield stmt.size
+    elif isinstance(stmt, Free):
+        yield stmt.pointer
+
+
+def induction_locals(loop: While) -> FrozenSet[str]:
+    """The locals ``loop`` only steps by a constant and never reads.
+
+    A local qualifies when every write to it in the body is ``v = v + c`` or
+    ``v = v - c`` with a constant ``c``, and no expression of the condition
+    or the body reads it except those updates.  Such a local cannot steer
+    the loop: one iteration adds the same amount to it every time, so spin
+    fast-forward (:mod:`repro.runtime.spin`) leaves it out of the state
+    fingerprint and advances it with the step counters.
+    """
+    stepped: Set[str] = set()
+    written: Set[str] = set()
+    reads: Set[str] = set(expression_locals(loop.cond))
+    for stmt in iter_statements(loop.body):
+        if isinstance(stmt, Assign) and isinstance(stmt.target, LocalRef):
+            name, value = stmt.target.name, stmt.value
+            if (
+                isinstance(value, BinOp)
+                and value.op in ("+", "-")
+                and value.left == LocalRef(name)
+                and isinstance(value.right, Const)
+            ):
+                stepped.add(name)
+                continue
+            written.add(name)
+        elif isinstance(getattr(stmt, "target", None), str):
+            # Call / Spawn / Input / Malloc store into a named local.
+            written.add(stmt.target)
+        for expr in statement_expressions(stmt):
+            reads.update(expression_locals(expr))
+    return frozenset(stepped - written - reads)

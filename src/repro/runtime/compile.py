@@ -35,7 +35,7 @@ bench block enforce this.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lang import ast
 from repro.lang.program import Program
@@ -485,33 +485,6 @@ _DELEGATED_STATEMENTS = {
 }
 
 
-def _stmt_expressions(stmt: ast.Stmt) -> Iterable[ast.Expr]:
-    """Top-level expressions the executor evaluates via ``self._eval``."""
-    if isinstance(stmt, ast.Assign):
-        yield stmt.value
-        target = stmt.target
-        if isinstance(target, ast.ArrayRef):
-            yield target.index
-        elif isinstance(target, ast.HeapRef):
-            yield target.pointer
-            yield target.index
-    elif isinstance(stmt, (ast.If, ast.While, ast.Assert)):
-        yield stmt.cond
-    elif isinstance(stmt, (ast.Spawn, ast.Call)):
-        yield from stmt.args
-    elif isinstance(stmt, ast.Join):
-        yield stmt.thread
-    elif isinstance(stmt, ast.Output):
-        yield from stmt.values
-    elif isinstance(stmt, ast.Return):
-        if stmt.value is not None:
-            yield stmt.value
-    elif isinstance(stmt, ast.Malloc):
-        yield stmt.size
-    elif isinstance(stmt, ast.Free):
-        yield stmt.pointer
-
-
 # --------------------------------------------------------------------------
 # Whole-program compilation + the fingerprint-keyed cache
 # --------------------------------------------------------------------------
@@ -621,7 +594,7 @@ class CompiledExecutor(Executor):
         self._evaluators: Dict[int, Tuple[ast.Expr, EvalFn]] = {}
         for function in self.program.functions.values():
             for stmt in ast.iter_statements(function.body):
-                for expr in _stmt_expressions(stmt):
+                for expr in ast.statement_expressions(stmt):
                     key = id(expr)
                     if key not in self._evaluators:
                         self._evaluators[key] = (expr, compile_expr(expr))

@@ -37,6 +37,7 @@ from repro.runtime.listeners import (
 )
 from repro.runtime.memory import MemoryLocation
 from repro.runtime.scheduler import RoundRobinPolicy, SchedulePolicy
+from repro.runtime.spin import SpinProbe
 from repro.runtime.state import ExecutionState, InputRecord, OutputRecord
 from repro.runtime.threadstate import (
     BlockEntry,
@@ -145,6 +146,8 @@ class Executor:
         self.config = config or ExecutorConfig()
         self.solver = solver or Solver(self.config.solver_max_assignments)
         self.counters = InterpCounters()
+        #: while-statement pc -> its induction locals (spin fast-forward)
+        self._induction: Dict[int, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -186,6 +189,14 @@ class Executor:
         Forked states (from symbolic branches) are collected in the result
         but not executed; callers that perform multi-path exploration manage
         their own worklist (see :mod:`repro.explore.paths`).
+
+        When the run is a function of its state -- the policy is
+        ``stateless``, every listener is ``spin_skip_safe`` and each stop
+        predicate is a method of one of the listeners (so it reads only
+        state the listener's own flag covers) -- a loop that spins until the
+        budget is fast-forwarded by whole periods (:mod:`repro.runtime.spin`).
+        The jump is exact: status, ``steps_executed`` and the final state
+        are what interpreting every step would give.
         """
         policy = policy or RoundRobinPolicy()
         group = ListenerGroup(list(listeners))
@@ -193,6 +204,7 @@ class Executor:
         forks: List[ExecutionState] = []
         steps = 0
         last_watched: Optional[int] = None
+        spin = self._spin_probe(policy, group, stop_before, stop_after)
 
         while True:
             if state.outcome is not None:
@@ -233,6 +245,13 @@ class Executor:
             if stop_before is not None and stop_before(state, tid, stmt):
                 return RunResult(RunStatus.STOPPED_BEFORE, state, forks, steps)
 
+            if spin is not None and isinstance(stmt, ast.While):
+                top = thread.frames[-1].control[-1]
+                if isinstance(top, LoopEntry):
+                    steps += spin.at_head(
+                        state, tid, top, group, last_watched, budget - steps
+                    )
+
             new_forks = self._execute_step(state, tid, stmt, group)
             forks.extend(new_forks)
             steps += 1
@@ -240,6 +259,31 @@ class Executor:
 
             if stop_after is not None and stop_after(state, tid, stmt):
                 return RunResult(RunStatus.STOPPED_AFTER, state, forks, steps)
+
+    def _spin_probe(
+        self,
+        policy: SchedulePolicy,
+        group: ListenerGroup,
+        *stops: Optional[StopPredicate],
+    ) -> Optional[SpinProbe]:
+        """A spin probe when the run qualifies for fast-forward, else None.
+
+        Listeners are checked at each jump instead, because a listener can
+        stop being skip-safe part-way through a run.
+        """
+        if not policy.stateless:
+            return None
+        for stop in stops:
+            owner = getattr(stop, "__self__", None)
+            if stop is not None and not any(owner is each for each in group.listeners):
+                return None
+        return SpinProbe(self._induction_locals, self.config.max_loop_iterations)
+
+    def _induction_locals(self, loop: ast.While) -> FrozenSet[str]:
+        names = self._induction.get(loop.pc)
+        if names is None:
+            names = self._induction[loop.pc] = ast.induction_locals(loop)
+        return names
 
     # -------------------------------------------------------------- scheduling
 

@@ -65,6 +65,12 @@ class SyncEvent:
 class ExecutionListener:
     """Base listener with no-op callbacks; subclass and override as needed."""
 
+    #: True while skipping whole periods of a spin loop (callbacks and all,
+    #: see :mod:`repro.runtime.spin`) cannot change what this listener does,
+    #: records or later reports.  Unsafe by default, so recorders and
+    #: detectors see every step.
+    spin_skip_safe: bool = False
+
     def on_step(self, state: "ExecutionState", tid: int, pc: int) -> None:
         """Called after every interpreter step."""
 
@@ -97,6 +103,10 @@ class ListenerGroup(ExecutionListener):
 
     def add(self, listener: ExecutionListener) -> None:
         self.listeners.append(listener)
+
+    @property
+    def spin_skip_safe(self) -> bool:  # type: ignore[override]
+        return all(listener.spin_skip_safe for listener in self.listeners)
 
     def on_step(self, state, tid, pc) -> None:
         for listener in self.listeners:

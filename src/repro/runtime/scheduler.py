@@ -43,6 +43,10 @@ class SchedulePolicy:
 
     #: when True, the executor records this policy's decisions in the trace
     recordable: bool = True
+    #: True when ``choose`` keeps no state of its own (no cursor, no RNG),
+    #: so a run under this policy is a function of the execution state;
+    #: spin fast-forward (:mod:`repro.runtime.spin`) relies on that
+    stateless: bool = False
 
     def choose(
         self,
@@ -67,6 +71,8 @@ class RoundRobinPolicy(SchedulePolicy):
     (watched points only matter to ControlledPolicy).
     """
 
+    stateless = True
+
     def choose(self, state, runnable, current, reason) -> Optional[int]:
         if not runnable:
             return None
@@ -83,6 +89,8 @@ class RoundRobinPolicy(SchedulePolicy):
 
 class CooperativePolicy(SchedulePolicy):
     """Keep the current thread running until it blocks or finishes."""
+
+    stateless = True
 
     def choose(self, state, runnable, current, reason) -> Optional[int]:
         if not runnable:
@@ -210,6 +218,13 @@ class ControlledPolicy(SchedulePolicy):
     @property
     def recordable(self) -> bool:  # type: ignore[override]
         return self.base.recordable
+
+    @property
+    def stateless(self) -> bool:  # type: ignore[override]
+        # The directives are fixed for the length of a run: nothing the
+        # executor calls changes them (``stuck`` is only set when ``choose``
+        # gives up, which ends the run).
+        return self.base.stateless
 
     def reset(self) -> None:
         self.base.reset()

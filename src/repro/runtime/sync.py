@@ -108,6 +108,16 @@ class SyncState:
         if self.counters is not None:
             self.counters.cow_copies += 1
 
+    def snapshot(self) -> Tuple:
+        """A hashable snapshot of every mutex, condition variable and barrier."""
+        return (
+            tuple((m.name, m.owner, tuple(m.waiters)) for m in self.mutexes.values()),
+            tuple((c.name, tuple(c.waiters)) for c in self.condvars.values()),
+            tuple(
+                (b.name, tuple(b.arrived), b.generation) for b in self.barriers.values()
+            ),
+        )
+
     # ----------------------------------------------------------------- lookup
 
     def mutex(self, name: str) -> MutexState:

@@ -134,6 +134,14 @@ class TestFoldSemantics:
                 fastpath_answers=3,
                 seconds=0.5,
             ),
+            make_event(
+                "interp_stats",
+                interp="tree",
+                statements=11,
+                forks=2,
+                cow_copies=3,
+                spin_steps_skipped=5,
+            ),
             make_event("pool", action="created"),
             make_event("pool", action="reused"),
             make_event("pool", action="reused"),
@@ -157,6 +165,12 @@ class TestFoldSemantics:
         assert stats.pools_created == 1
         assert stats.pool_reuses == 2
         assert stats.stage_overlap_seconds == 0.125
+        assert stats.interp_statements == 11
+        assert stats.interp_forks == 2
+        assert stats.interp_cow_copies == 3
+        assert stats.spin_steps_skipped == 5
+        assert "spin steps skipped=5," in stats.summary()
+        assert "spin_steps_skipped=5" in render_events_info(events)
 
     def test_solver_query_detail_is_not_double_counted(self):
         # Per-query events are histogram detail; only the per-task

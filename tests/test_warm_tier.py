@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.core.config import PortendConfig
 from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
 from repro.engine.cache import collect_cache_info, render_cache_info
 from repro.engine.engine import (
@@ -158,30 +159,43 @@ class TestWarmTierSidecar:
 
 
 class TestWarmTierEngine:
-    def _analyze(self, cache_dir, warm_tier=True):
+    def _analyze(self, cache_dir, warm_tier=True, backend=None):
+        config = None if backend is None else PortendConfig(solver_backend=backend)
         engine = AnalysisEngine(
+            config=config,
             options=EngineOptions(
                 parallel=0,
                 cache_dir=cache_dir,
                 granularity="path",
                 warm_tier=warm_tier,
-            )
+            ),
         )
         runs = engine.analyze(names=["stress_deep"])
         return _full_signature(runs), engine.last_run_stats
 
-    def test_warm_second_run_is_bit_identical_and_cheaper(self, tmp_path):
-        cache_dir = str(tmp_path)
-        cold_signature, cold = self._analyze(cache_dir)
+    def _cold_then_warm(self, cache_dir, backend):
+        cold_signature, cold = self._analyze(cache_dir, backend=backend)
         assert os.path.isdir(os.path.join(cache_dir, "solver_warm"))
         # Drop the classification cache so the second run re-classifies and
         # actually queries the solver -- against warm-loaded entries.
         for path in glob.glob(os.path.join(cache_dir, "*-cls-*.json")):
             os.unlink(path)
-        warm_signature, warm = self._analyze(cache_dir)
+        warm_signature, warm = self._analyze(cache_dir, backend=backend)
         assert warm_signature == cold_signature
         assert warm.worker_cache_hits > 0
+        return cold, warm
+
+    def test_warm_second_run_is_bit_identical_and_cheaper(self, tmp_path):
+        cold, warm = self._cold_then_warm(str(tmp_path), backend="default")
         assert warm.solver_assignments_enumerated < cold.solver_assignments_enumerated
+
+    def test_warm_second_run_under_the_portfolio_backend(self, tmp_path):
+        # The portfolio's interval fast path answers every stress_deep query
+        # without enumerating, cold or warm, so there is no enumeration for
+        # the warm tier to save; its entries are still hit.
+        cold, warm = self._cold_then_warm(str(tmp_path), backend="portfolio")
+        assert cold.solver_assignments_enumerated == 0
+        assert warm.solver_assignments_enumerated == 0
 
     def test_disabled_tier_stays_cold(self, tmp_path):
         cache_dir = str(tmp_path)
