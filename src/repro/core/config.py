@@ -41,14 +41,6 @@ class PortendConfig:
     solver_backend: str = field(
         default_factory=lambda: os.environ.get("REPRO_SOLVER", "default")
     )
-    #: interpreter kernel name (see :mod:`repro.runtime.compile`); the
-    #: ``REPRO_INTERP`` environment variable overrides the default.  Like
-    #: solver backends, interpreters are bit-identical by contract -- the
-    #: compiled kernel changes dispatch mechanics, never semantics -- so
-    #: this knob is excluded from :meth:`classification_fingerprint`.
-    interp: str = field(
-        default_factory=lambda: os.environ.get("REPRO_INTERP", "tree")
-    )
 
     # ----------------------------------------------------- ablation switches
     #: classify ad-hoc synchronisation (timeouts) as "single ordering";
@@ -101,18 +93,18 @@ class PortendConfig:
         :meth:`race_seed`), the ``mp``/``ma`` exploration limits, the
         ablation switches, the step/state ceilings -- so any config change
         invalidates cached verdicts instead of silently serving stale ones.
-        ``solver_backend`` is one exception -- and ``interp`` shares it:
-        backends and interpreter kernels answer bit-identically by contract
-        (asserted in tests and the benchmark harness), so a cached verdict
-        stays valid across them.
+        ``solver_backend`` is the one exception: backends answer
+        bit-identically by contract (asserted in tests and the benchmark
+        harness), so a cached verdict stays valid across them.
         """
         data = self.to_dict()
         data.pop("solver_backend", None)
-        data.pop("interp", None)
         return dict(sorted(data.items()))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "PortendConfig":
+        # Unknown keys are dropped, so configs written by older versions
+        # (e.g. with the retired ``interp`` kernel knob) still load.
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in known})
 

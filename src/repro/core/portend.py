@@ -116,16 +116,10 @@ class Portend:
 
             solver = create_solver(self.config)
         if executor is None:
-            # Build the interpreter kernel the config names (tree or
-            # compiled); both are bit-identical, so this is a pure
-            # performance knob.
-            from repro.runtime.compile import create_executor
-
-            executor = create_executor(
+            executor = Executor(
                 self.program,
-                interp=self.config.interp,
-                config=ExecutorConfig(max_steps=self.config.max_steps_per_execution),
                 solver=solver,
+                config=ExecutorConfig(max_steps=self.config.max_steps_per_execution),
             )
         self.executor = executor
         self.detector_ignore_mutexes = detector_ignore_mutexes

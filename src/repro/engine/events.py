@@ -36,8 +36,8 @@ kind                         fields
                              ``worker_hit``, ``seconds`` (worker, per query)
 ``solver_stats``             ``backend`` + a ``SolverStats.to_dict()`` snapshot
                              (one per task, the aggregate of its queries)
-``interp_stats``             ``interp`` (kernel name) + the executor's
-                             ``InterpCounters.to_dict()`` snapshot
+``interp_stats``             the executor's ``InterpCounters.to_dict()``
+                             snapshot
                              (``statements``, ``forks``, ``cow_copies``,
                              ``spin_steps_skipped``; one per task)
 ``pool``                     ``action`` (created/reused)
@@ -306,13 +306,26 @@ def write_events(events: Sequence[Event], path: str, append: bool = True) -> Non
 
 
 def load_events(path: str) -> List[Event]:
-    """Read a JSON-lines event file back into a list of events."""
+    """Read a JSON-lines event file back into a list of events.
+
+    Raises ``ValueError`` naming ``path:line`` for a line that is not a JSON
+    object -- e.g. the truncated last line a killed run leaves behind.
+    """
     events: List[Event] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                events.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{number}: not a JSON event ({exc.msg})"
+                ) from exc
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            events.append(event)
     return events
 
 
@@ -354,15 +367,18 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
 
     Returns a dict with: by-kind counts, the folded stats, per-stage task
     latency histograms (with p50/p95 percentiles), cache hit rates by tier,
-    solver time/query counts grouped by backend, the cost-aware
-    scheduler's chunk decisions (estimated vs. actual seconds per stage),
-    and primary replay passes with the races they served.
+    solver time/query counts grouped by backend, the summed interpreter
+    counters, the cost-aware scheduler's chunk decisions (estimated vs.
+    actual seconds per stage), and primary replay passes with the races
+    they served.
     """
     by_kind: Dict[str, int] = {}
     stage_latencies: Dict[str, List[float]] = {}
     cache_totals: Dict[str, Dict[str, int]] = {}
     backends: Dict[str, Dict[str, float]] = {}
-    interpreters: Dict[str, Dict[str, int]] = {}
+    interpreter = dict.fromkeys(
+        ("tasks", "statements", "forks", "cow_copies", "spin_steps_skipped"), 0
+    )
     decisions: Dict[str, Dict[str, float]] = {}
     speculation = {"races": 0, "predicted": 0, "hits": 0, "wasted": 0}
     replays = {"passes": 0, "races": 0, "trace_inputs": 0}
@@ -446,20 +462,9 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             if event.get("action") == "downgraded":
                 recovery["downgrades"] += 1
         elif kind == "interp_stats":
-            interp = str(event.get("interp", "tree"))
-            entry = interpreters.setdefault(
-                interp,
-                {
-                    "tasks": 0,
-                    "statements": 0,
-                    "forks": 0,
-                    "cow_copies": 0,
-                    "spin_steps_skipped": 0,
-                },
-            )
-            entry["tasks"] += 1
+            interpreter["tasks"] += 1
             for name in ("statements", "forks", "cow_copies", "spin_steps_skipped"):
-                entry[name] += int(event.get(name, 0))
+                interpreter[name] += int(event.get(name, 0))
     histograms = {
         stage: {
             "count": len(latencies),
@@ -494,7 +499,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         "stage_latency": histograms,
         "cache_rates": cache_rates,
         "solver_backends": dict(sorted(backends.items())),
-        "interpreters": dict(sorted(interpreters.items())),
+        "interpreter": interpreter,
         "scheduler_decisions": dict(sorted(decisions.items())),
         "speculation": speculation,
         "primary_replays": replays,
@@ -606,16 +611,12 @@ def render_events_info(events: Sequence[Event]) -> str:
     if not summary["solver_backends"]:
         lines.append("  (no solver_stats events)")
     lines.append("")
-    lines.append("interpreter counters by kernel:")
-    for interp, data in summary["interpreters"].items():
+    lines.append("interpreter counters:")
+    if summary["interpreter"]["tasks"]:
         lines.append(
-            f"  {interp}: tasks={data['tasks']} "
-            f"statements={data['statements']} "
-            f"forks={data['forks']} "
-            f"cow_copies={data['cow_copies']} "
-            f"spin_steps_skipped={data['spin_steps_skipped']}"
+            "  " + " ".join(f"{k}={v}" for k, v in summary["interpreter"].items())
         )
-    if not summary["interpreters"]:
+    else:
         lines.append("  (no interp_stats events)")
     lines.append("")
     lines.append(summary["stats"])

@@ -202,11 +202,7 @@ def _finish_task(
         events.emit(
             "solver_stats", backend=portend.executor.solver.backend, **snapshot
         )
-        events.emit(
-            "interp_stats",
-            interp=portend.executor.interp,
-            **portend.executor.counters.to_dict(),
-        )
+        events.emit("interp_stats", **portend.executor.counters.to_dict())
     events.emit(
         "task_finish",
         stage=stage,
@@ -239,12 +235,10 @@ def pool_worker_initializer(
     quarantine / serial paths stay fault-free by construction.
     """
     from repro.engine.faults import install_fault_plan
-    from repro.runtime.compile import reset_compiled_cache
     from repro.symex.solver import reset_worker_caches, set_warm_tier_dir
 
     reset_worker_caches()
     set_warm_tier_dir(warm_tier_root)
-    reset_compiled_cache()
     install_fault_plan(dict(fault_spec) if fault_spec else None)
     _TRACE_MEMO.clear()
 
@@ -399,7 +393,6 @@ def execute_record_task(payload: Mapping) -> Dict:
         program,
         concrete_inputs=dict(task.inputs),
         max_steps=config.max_steps_per_execution,
-        interp=config.interp,
     )
     _, event_list = _finish_task(events, "record", task.workload, started)
     return {

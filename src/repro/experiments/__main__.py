@@ -35,6 +35,20 @@ _RUNS_CAPABLE = {"table3", "table4", "table5", "fig9"}
 _ENGINE_FLAG_CAPABLE = {"table2", "fig7", "fig10"}
 
 
+def _check_workload_names(parser, names) -> None:
+    """``parser.error`` (exit 2) unless every name is a registry workload."""
+    from repro.workloads import all_workload_names
+
+    known = all_workload_names(include_synthetic=True)
+    lowered = {name.lower() for name in known}
+    unknown = [name for name in names if name.lower() not in lowered]
+    if unknown:
+        parser.error(
+            f"unknown workload {', '.join(map(repr, unknown))}; "
+            f"choose from {', '.join(known)}"
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -137,15 +151,6 @@ def main(argv=None) -> int:
         "Defaults to the REPRO_SOLVER environment variable, else 'default'",
     )
     parser.add_argument(
-        "--interp",
-        default=None,
-        metavar="KERNEL",
-        help="interpreter kernel for every analysis: 'tree' (the walking "
-        "interpreter) or 'compiled' (per-statement handler closures compiled "
-        "once per program); kernels are verdict-bit-identical.  Defaults to "
-        "the REPRO_INTERP environment variable, else 'tree'",
-    )
-    parser.add_argument(
         "--fault-plan",
         default=None,
         metavar="PLAN",
@@ -230,7 +235,13 @@ def main(argv=None) -> int:
             parser.error("events-info requires --events")
         from repro.engine.events import load_events, render_events_info
 
-        print(render_events_info(load_events(args.events)))
+        try:
+            events = load_events(args.events)
+        except OSError as exc:
+            parser.exit(1, f"events-info: {args.events}: {exc.strerror}\n")
+        except ValueError as exc:
+            parser.exit(1, f"events-info: {exc}\n")
+        print(render_events_info(events))
         return 0
 
     if args.solver is not None:
@@ -242,23 +253,21 @@ def main(argv=None) -> int:
                 f"choose from {', '.join(solver_backends())}"
             )
 
-    if args.interp is not None:
-        from repro.runtime.compile import INTERP_MODES
-
-        if args.interp not in INTERP_MODES:
-            parser.error(
-                f"unknown interpreter {args.interp!r}; "
-                f"choose from {', '.join(INTERP_MODES)}"
-            )
+    workload_names = (
+        [item.strip() for item in args.workloads.split(",") if item.strip()]
+        if args.workloads
+        else None
+    )
+    if workload_names:
+        _check_workload_names(parser, workload_names)
 
     if args.experiment == "profile":
         if not args.target:
             parser.error("profile requires a workload name (e.g. 'profile bbuf')")
+        _check_workload_names(parser, [args.target])
         from repro.experiments.profile import render_profile, run_profile
 
-        report = run_profile(
-            args.target, top=args.profile_top, interp=args.interp
-        )
+        report = run_profile(args.target, top=args.profile_top)
         print(render_profile(report))
         return 0
 
@@ -276,11 +285,6 @@ def main(argv=None) -> int:
     if any(name in _RUNS_CAPABLE for name in names):
         from repro.experiments.runner import analyze_all
 
-        workload_names = (
-            [item.strip() for item in args.workloads.split(",") if item.strip()]
-            if args.workloads
-            else None
-        )
         shared_runs = analyze_all(
             names=workload_names,
             measure_plain_time="table4" in names,
@@ -294,7 +298,6 @@ def main(argv=None) -> int:
             chunk_target_ms=args.chunk_target_ms,
             warm_tier=args.warm_tier,
             speculate=args.speculate,
-            interp=args.interp,
             fault_plan=args.fault_plan,
             max_pool_respawns=args.max_pool_respawns,
             max_task_retries=args.max_task_retries,
@@ -316,7 +319,6 @@ def main(argv=None) -> int:
                 chunk_target_ms=args.chunk_target_ms,
                 warm_tier=args.warm_tier,
                 speculate=args.speculate,
-                interp=args.interp,
                 **kwargs,
             )
         else:

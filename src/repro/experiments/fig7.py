@@ -46,7 +46,6 @@ def run(
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
     speculate: Optional[bool] = None,
-    interp: Optional[str] = None,
 ) -> Fig7Result:
     base = base_config or PortendConfig()
     result = Fig7Result()
@@ -66,7 +65,6 @@ def run(
                 chunk_target_ms=chunk_target_ms,
                 warm_tier=warm_tier,
                 speculate=speculate,
-                interp=interp,
             )
             score = score_workload(workload, run_.result.classified)
             result.accuracy[name][technique] = score.accuracy

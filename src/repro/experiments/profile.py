@@ -3,10 +3,10 @@ cProfile.
 
 Runs the complete serial analysis of one registry workload (record + detect
 + classify, the same work a ``table3`` row does) inside ``cProfile`` and
-reports the top-N functions by cumulative time.  This is the repo's standing
-answer to "where do the cycles go?" -- the interpreter hot-path work (the
-compiled dispatch kernel and copy-on-write state forking) was scoped from
-exactly this view.
+reports the interpreter's counters and the top-N functions by cumulative
+time.  This is the repo's standing answer to "where do the cycles go?" --
+the interpreter hot-path work (copy-on-write state forking and spin
+fast-forward) was scoped from exactly this view.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import pstats
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
@@ -24,36 +23,24 @@ class ProfileReport:
     """The outcome of one profiled analysis run."""
 
     workload: str
-    interp: str
     seconds: float
     races: int
     statements: int
     forks: int
     cow_copies: int
+    spin_steps_skipped: int
     table: str
 
 
-def run_profile(
-    workload_name: str, top: int = 25, interp: Optional[str] = None
-) -> ProfileReport:
-    """Profile one workload's full serial analysis.
-
-    ``interp`` picks the interpreter kernel (default: the config default,
-    i.e. ``REPRO_INTERP`` or ``tree``), so ``profile bbuf --interp compiled``
-    vs. ``profile bbuf`` shows where the compiled kernel moves time.
-    """
-    from dataclasses import replace
-
+def run_profile(workload_name: str, top: int = 25) -> ProfileReport:
+    """Profile one workload's full serial analysis."""
     from repro.core.config import PortendConfig
     from repro.core.portend import Portend
     from repro.workloads import load_workload
 
     workload = load_workload(workload_name)
-    config = PortendConfig()
-    if interp is not None:
-        config = replace(config, interp=interp)
     portend = Portend(
-        workload.program, config=config, predicates=workload.predicates
+        workload.program, config=PortendConfig(), predicates=workload.predicates
     )
 
     profiler = cProfile.Profile()
@@ -71,23 +58,23 @@ def run_profile(
     counters = portend.executor.counters
     return ProfileReport(
         workload=workload_name,
-        interp=portend.executor.interp,
         seconds=seconds,
         races=len(result.classified),
         statements=counters.statements,
         forks=counters.forks,
         cow_copies=counters.cow_copies,
+        spin_steps_skipped=counters.spin_steps_skipped,
         table=buffer.getvalue().rstrip(),
     )
 
 
 def render_profile(report: ProfileReport) -> str:
     lines = [
-        f"profile: {report.workload} "
-        f"(interp={report.interp}, {report.seconds:.3f}s wall)",
+        f"profile: {report.workload} ({report.seconds:.3f}s wall)",
         f"  races classified: {report.races}",
         f"  interpreter: statements={report.statements} "
-        f"forks={report.forks} cow_copies={report.cow_copies}",
+        f"forks={report.forks} cow_copies={report.cow_copies} "
+        f"spin_steps_skipped={report.spin_steps_skipped}",
         "",
         report.table,
     ]

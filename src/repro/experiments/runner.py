@@ -61,7 +61,6 @@ def _engine(
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
     speculate: Optional[bool] = None,
-    interp: Optional[str] = None,
     fault_plan: Optional[str] = None,
     max_pool_respawns: Optional[int] = None,
     max_task_retries: Optional[int] = None,
@@ -69,8 +68,6 @@ def _engine(
 ) -> AnalysisEngine:
     if solver is not None:
         config = replace(config or PortendConfig(), solver_backend=solver)
-    if interp is not None:
-        config = replace(config or PortendConfig(), interp=interp)
     # warm_tier/speculate -- and the fault-tolerance knobs below -- stay
     # tri-state: None defers to the EngineOptions environment defaults
     # (REPRO_WARM_TIER / REPRO_SPECULATE / REPRO_FAULT_PLAN /
@@ -144,7 +141,6 @@ def analyze_workload(
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
     speculate: Optional[bool] = None,
-    interp: Optional[str] = None,
     fault_plan: Optional[str] = None,
     max_pool_respawns: Optional[int] = None,
     max_task_retries: Optional[int] = None,
@@ -154,7 +150,7 @@ def analyze_workload(
     engine = _engine(
         config, use_semantic_predicates, parallel, cache_dir, granularity,
         cache_max_entries, dispatch, solver, events, chunk_target_ms,
-        warm_tier, speculate, interp,
+        warm_tier, speculate,
         fault_plan, max_pool_respawns, max_task_retries, task_deadline_ms,
     )
     engine_runs = engine.analyze_workloads([workload])
@@ -177,7 +173,6 @@ def analyze_all(
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
     speculate: Optional[bool] = None,
-    interp: Optional[str] = None,
     fault_plan: Optional[str] = None,
     max_pool_respawns: Optional[int] = None,
     max_task_retries: Optional[int] = None,
@@ -198,8 +193,6 @@ def analyze_all(
     wall-clock target; ``warm_tier``/``speculate`` toggle the persistent
     solver warm tier and speculative path submission (None defers to the
     ``REPRO_WARM_TIER``/``REPRO_SPECULATE`` environment defaults);
-    ``interp`` overrides the config's interpreter kernel (see
-    :mod:`repro.runtime.compile`; kernels are bit-identical by contract);
     ``fault_plan`` installs a deterministic fault-injection plan in the pool
     workers and ``max_pool_respawns`` / ``max_task_retries`` /
     ``task_deadline_ms`` tune the supervision ladder that recovers from
@@ -214,7 +207,7 @@ def analyze_all(
     engine = _engine(
         config, use_semantic_predicates, parallel, cache_dir, granularity,
         cache_max_entries, dispatch, solver, events, chunk_target_ms,
-        warm_tier, speculate, interp,
+        warm_tier, speculate,
         fault_plan, max_pool_respawns, max_task_retries, task_deadline_ms,
     )
     engine_runs = engine.analyze_workloads(workloads)

@@ -50,7 +50,6 @@ def run(
     chunk_target_ms: int = 500,
     warm_tier: Optional[bool] = None,
     speculate: Optional[bool] = None,
-    interp: Optional[str] = None,
 ) -> List[Table2Row]:
     config = config or PortendConfig()
     rows: List[Table2Row] = []
@@ -73,7 +72,6 @@ def run(
             chunk_target_ms=chunk_target_ms,
             warm_tier=warm_tier,
             speculate=speculate,
-            interp=interp,
         )
         classified = run_result.result.classified
         rows.append(
@@ -103,7 +101,6 @@ def run(
         chunk_target_ms=chunk_target_ms,
         warm_tier=warm_tier,
         speculate=speculate,
-        interp=interp,
     )
     rows.insert(
         3,

@@ -131,9 +131,6 @@ StopPredicate = Callable[[ExecutionState, int, ast.Stmt], bool]
 class Executor:
     """Interprets programs and exposes stepping, running and forking."""
 
-    #: interpreter kernel name; the compiled subclass overrides this
-    interp = "tree"
-
     def __init__(
         self,
         program: Program,

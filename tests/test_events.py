@@ -136,7 +136,6 @@ class TestFoldSemantics:
             ),
             make_event(
                 "interp_stats",
-                interp="tree",
                 statements=11,
                 forks=2,
                 cow_copies=3,
@@ -459,10 +458,21 @@ class TestEventsInfo:
         assert "solver time by backend:" in report
         assert "per-stage task latency:" in report
 
+    def test_render_sums_interpreter_counters_on_one_line(self, tmp_path):
+        events = self._stream(tmp_path)
+        lines = render_events_info(events).splitlines()
+        counters = lines[lines.index("interpreter counters:") + 1]
+        tasks = sum(1 for event in events if event["kind"] == "interp_stats")
+        statements = fold_events(events).interp_statements
+        assert tasks > 0 and statements > 0
+        assert counters.startswith(f"  tasks={tasks} statements={statements} forks=")
+        assert " cow_copies=" in counters and " spin_steps_skipped=" in counters
+
     def test_render_handles_empty_stream(self):
         report = render_events_info([])
         assert "(no task_finish events)" in report
         assert "(no solver_stats events)" in report
+        assert "(no interp_stats events)" in report
 
 
 class TestCLI:
@@ -487,6 +497,35 @@ class TestCLI:
         first = len(load_events(path))
         main(["table3", "--workloads", "bbuf", "--events", path])
         assert len(load_events(path)) == first  # truncated, not appended
+
+    def test_events_info_on_a_missing_log_fails_in_one_line(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        path = str(tmp_path / "missing.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            main(["events-info", "--events", path])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and path in err
+
+    def test_events_info_on_a_truncated_line_names_path_and_line(
+        self, tmp_path, capsys
+    ):
+        # --events appends, so a killed run can leave a half-written line.
+        from repro.experiments.__main__ import main
+
+        path = str(tmp_path / "cli.jsonl")
+        main(["table3", "--workloads", "bbuf", "--events", path])
+        good = len(load_events(path))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "task_fin')
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["events-info", "--events", path])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}:{good + 1}:" in err
 
     def test_solver_flag_is_validated(self, tmp_path):
         from repro.experiments.__main__ import main

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (tables/figures machinery)."""
 
+import pytest
+
 from repro.core.categories import RaceClass
 from repro.experiments import metrics, runner
 from repro.experiments import table1, table3, table4
@@ -52,3 +54,39 @@ def test_per_class_accuracy_buckets():
     buckets = metrics.per_class_accuracy([(workload, run.result.classified)])
     correct, total = buckets[RaceClass.SPEC_VIOLATED]
     assert (correct, total) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table3", "--workloads", "nope"],
+        ["table3", "--workloads", "bbuf,nope"],
+        ["profile", "nope"],
+    ],
+)
+def test_unknown_workload_names_are_cli_errors(argv, capsys):
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload 'nope'" in err
+    assert "choose from SQLite, ocean" in err and "stress_harmful" in err
+
+
+def test_workload_names_are_case_insensitive_on_the_cli(capsys):
+    from repro.experiments.__main__ import main
+
+    assert main(["table3", "--workloads", "BBUF"]) == 0
+    assert "bbuf" in capsys.readouterr().out
+
+
+def test_profile_prints_the_interpreter_counters(capsys):
+    from repro.experiments.__main__ import main
+
+    assert main(["profile", "RW", "--profile-top", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("profile: RW (") and lines[0].endswith("s wall)")
+    assert lines[2].startswith("  interpreter: statements=")
+    assert " spin_steps_skipped=" in lines[2]

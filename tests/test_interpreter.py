@@ -1,148 +1,72 @@
-"""Tests for the interpreter hot-path kernels.
+"""Tests for the interpreter hot path.
 
-Two halves, matching the runtime work they cover:
-
-* **equivalence** -- the compiled dispatch kernel must be bit-identical to
-  the tree walker on every registry workload: same traces, same verdicts
-  (including prune diagnostics), same folded event stats, same interpreter
-  counters, and the same merged results under adversarially shuffled
-  pool-completion order;
-* **copy-on-write** -- ``ExecutionState.clone`` must share untouched
-  containers with the fork and materialize only what is actually mutated
-  afterwards, with every materialization counted.
+* **forking** -- a concrete branch outcome must not consult the solver, and
+  ``ExecutionState.clone`` must share untouched containers with the fork,
+  materializing only what is actually mutated afterwards, with every
+  materialization counted;
+* **copy-on-write against the deep copy** -- every registry workload must
+  analyse exactly as it does when each fork is an eager deep copy
+  (``ExecutionState.clone_eager``), the reference the COW fork replaced;
+* **retired kernel knob** -- configs written while ``PortendConfig`` still
+  carried an ``interp`` field must load and key the caches exactly as they
+  did then, so cache directories from that time stay warm.
 """
-
-import dataclasses
-import random
 
 import pytest
 
 from repro.core.config import PortendConfig
+from repro.engine.cache import ClassificationCache, TraceCache
 from repro.core.portend import Portend
-from repro.engine import AnalysisEngine, EngineOptions, PoolDispatcher
-from repro.engine.events import fold_events
-from repro.runtime.compile import (
-    INTERP_MODES,
-    CompiledExecutor,
-    compiled_program_for,
-    create_executor,
-    reset_compiled_cache,
-)
 from repro.runtime.executor import Executor
+from repro.runtime.state import ExecutionState
 from repro.workloads import all_workload_names, load_workload
 
-from test_streaming import NAMES, _DeferredPool, _full_signature, _shuffled_wait
+#: ``PortendConfig().to_dict()`` as written before the ``interp`` field was
+#: removed, with the compiled kernel selected
+LEGACY_CONFIG = {
+    "mp": 5,
+    "ma": 2,
+    "symbolic_inputs": 2,
+    "timeout_factor": 5,
+    "max_steps_per_execution": 200000,
+    "max_explored_states": 256,
+    "seed": 2012,
+    "solver_backend": "default",
+    "interp": "compiled",
+    "enable_adhoc_detection": True,
+    "enable_multi_path": True,
+    "enable_multi_schedule": True,
+    "symbolic_output_comparison": True,
+}
 
 
-def _analysis_outcome(name, interp):
-    """Everything one workload's serial analysis produces, minus timing."""
-    workload = load_workload(name)
-    config = PortendConfig(interp=interp)
-    portend = Portend(workload.program, config=config, predicates=workload.predicates)
-    trace = portend.record(inputs=dict(workload.inputs))
-    result = portend.classify_trace(trace)
-    classified = [
-        {
-            key: value
-            for key, value in item.to_dict().items()
-            if key != "analysis_seconds"
-        }
-        for item in result.classified
-    ]
-    counters = portend.executor.counters
-    return {
-        "trace": trace.to_dict(),
-        "classified": classified,
-        "prune_reasons": [
-            sorted(item.prune_reasons) for item in result.classified
-        ],
-        "counters": counters.to_dict(),
-    }
+class TestLegacyInterpConfig:
+    @pytest.fixture(autouse=True)
+    def _default_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVER", raising=False)
 
-
-class TestCompiledEquivalence:
-    @pytest.mark.parametrize("name", all_workload_names(include_synthetic=True))
-    def test_every_registry_workload_is_bit_identical(self, name):
-        tree = _analysis_outcome(name, "tree")
-        compiled = _analysis_outcome(name, "compiled")
-        assert tree["trace"] == compiled["trace"], name
-        assert tree["classified"] == compiled["classified"], name
-        assert tree["prune_reasons"] == compiled["prune_reasons"], name
-        # Bit-identity extends to the interpreter's own accounting: the
-        # compiled kernel executes the same statements, takes the same
-        # forks and materializes the same COW copies.
-        assert tree["counters"] == compiled["counters"], name
-
-    def test_engine_folded_stats_match_across_kernels(self):
-        names = ["bbuf", "RW"]
-        summaries = {}
-        for interp in INTERP_MODES:
-            engine = AnalysisEngine(
-                config=PortendConfig(interp=interp),
-                options=EngineOptions(granularity="race"),
-            )
-            runs = engine.analyze(names)
-            # Compare the folded counters minus the wall-clock fields: the
-            # overlap clocks measure real elapsed time, which pooled runs
-            # (REPRO_PARALLEL is honored here) cannot reproduce exactly.
-            folded = dataclasses.asdict(fold_events(engine.last_run_events))
-            counters = {
-                key: value
-                for key, value in folded.items()
-                if "seconds" not in key
-            }
-            summaries[interp] = (_full_signature(runs), counters)
-        assert summaries["tree"] == summaries["compiled"]
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_shuffled_completion_under_compiled_interp(self, monkeypatch, seed):
-        # The fake-pool harness from the streaming tests, run with the
-        # compiled kernel: futures complete in shuffled order and the merge
-        # must still be bit-identical to the serial tree reference.
-        reference = AnalysisEngine(
-            options=EngineOptions(granularity="race")
-        ).analyze(NAMES)
-        rng = random.Random(seed)
-        pool = _DeferredPool()
-        monkeypatch.setattr(PoolDispatcher, "warm", lambda self: None)
-        monkeypatch.setattr(PoolDispatcher, "acquire_for", lambda self, payloads: pool)
-        monkeypatch.setattr(
-            PoolDispatcher,
-            "map",
-            lambda self, payloads, worker: [worker(p) for p in payloads],
+    def test_legacy_config_loads_as_the_default(self):
+        config = PortendConfig.from_dict(LEGACY_CONFIG)
+        assert config == PortendConfig()
+        assert config.classification_fingerprint() == (
+            PortendConfig().classification_fingerprint()
         )
-        monkeypatch.setattr("repro.engine.engine.wait", _shuffled_wait(pool, rng))
-        shuffled = AnalysisEngine(
-            config=PortendConfig(interp="compiled"),
-            options=EngineOptions(parallel=2, granularity="path", dispatch="streaming"),
-        ).analyze(NAMES)
-        assert not pool.pending
-        assert _full_signature(reference) == _full_signature(shuffled)
+        assert "interp" not in config.to_dict()
 
-    def test_create_executor_modes(self):
-        program = load_workload("bbuf").program
-        assert type(create_executor(program, "tree")) is Executor
-        assert isinstance(create_executor(program, "compiled"), CompiledExecutor)
-        with pytest.raises(ValueError):
-            create_executor(program, "jit")
-
-    def test_compiled_programs_are_shared_by_fingerprint(self):
-        # The registry rebuilds a fresh Program per load; the compiled table
-        # must be compiled once and reused across instances via the content
-        # fingerprint.
-        reset_compiled_cache()
-        first = compiled_program_for(load_workload("bbuf").program)
-        second = compiled_program_for(load_workload("bbuf").program)
-        assert first is second
-        reset_compiled_cache()
-        third = compiled_program_for(load_workload("bbuf").program)
-        assert third is not first
-
-    def test_interp_is_excluded_from_classification_fingerprint(self):
-        tree = PortendConfig(interp="tree").classification_fingerprint()
-        compiled = PortendConfig(interp="compiled").classification_fingerprint()
-        assert tree == compiled
-        assert "interp" not in tree
+    def test_cache_keys_match_the_ones_written_with_the_knob(self):
+        # Digests computed by the code that still had the ``interp`` field,
+        # from LEGACY_CONFIG and these exact arguments.
+        config = PortendConfig.from_dict(LEGACY_CONFIG)
+        fingerprint = "f" * 64
+        assert TraceCache.key("bbuf", {"items": 4}, config, fingerprint) == (
+            "c156e84fadf19acc204e6442433f8af2a4b26d74db276b83e1b2f677e2ce4742"
+        )
+        assert TraceCache.key("bbuf", {"items": 4}, config, fingerprint) == (
+            TraceCache.key("bbuf", {"items": 4}, PortendConfig(), fingerprint)
+        )
+        assert ClassificationCache.key(
+            "bbuf", {"items": 4}, config, 3, fingerprint
+        ) == "997a225dadf078c3dda14f7749bcea35946bd126c2219cd515ccab12142ee9af"
 
 
 class _CountingSolver:
@@ -178,10 +102,10 @@ class TestForkSolverSkip:
         assert counting.calls == 1
 
 
-def _running_state(interp="tree", steps=40):
+def _running_state(steps=40):
     """A mid-execution state of a workload with threads, sync and memory."""
     workload = load_workload("bbuf")
-    executor = create_executor(workload.program, interp=interp)
+    executor = Executor(workload.program)
     state = executor.initial_state(concrete_inputs=dict(workload.inputs))
     executor.run(state, max_steps=steps)
     return executor, state
@@ -260,8 +184,50 @@ class TestCopyOnWrite:
 
     def test_fork_counter_counts_symbolic_forks(self):
         workload = load_workload("bbuf")
-        executor = create_executor(workload.program)
+        executor = Executor(workload.program)
         state = executor.initial_state(concrete_inputs=dict(workload.inputs))
         executor.run(state)
         assert executor.counters.statements == state.step_count
         assert executor.counters.forks == 0  # concrete run: no symbolic branches
+
+
+def _analysis_outcome(name):
+    """Everything one workload's serial analysis produces, minus timing."""
+    workload = load_workload(name)
+    portend = Portend(
+        workload.program,
+        config=PortendConfig(),
+        predicates=workload.predicates,
+    )
+    trace = portend.record(inputs=dict(workload.inputs))
+    result = portend.classify_trace(trace)
+    classified = [
+        {
+            key: value
+            for key, value in item.to_dict().items()
+            if key != "analysis_seconds"
+        }
+        for item in result.classified
+    ]
+    return {
+        "trace": trace.to_dict(),
+        "classified": classified,
+        "prune_reasons": [sorted(item.prune_reasons) for item in result.classified],
+        "counters": portend.executor.counters.to_dict(),
+    }
+
+
+class TestCopyOnWriteAgainstEagerClone:
+    @pytest.mark.parametrize("name", all_workload_names(include_synthetic=True))
+    def test_every_registry_workload_matches_the_eager_clone(self, name, monkeypatch):
+        cow = _analysis_outcome(name)
+        monkeypatch.setattr(ExecutionState, "clone", ExecutionState.clone_eager)
+        eager = _analysis_outcome(name)
+        assert cow["trace"] == eager["trace"], name
+        assert cow["classified"] == eager["classified"], name
+        assert cow["prune_reasons"] == eager["prune_reasons"], name
+        # Same statements, forks and skipped spin steps; only the lazy
+        # materializations differ, and a deep copy needs none of them.
+        cow_copies = cow["counters"].pop("cow_copies")
+        assert eager["counters"].pop("cow_copies") <= cow_copies
+        assert cow["counters"] == eager["counters"], name

@@ -48,6 +48,8 @@ from repro.runtime.scheduler import (
 from repro.runtime.threadstate import LoopEntry
 from repro.workloads import all_workload_names, load_workload
 
+from test_interpreter import _analysis_outcome
+
 TABLE1 = (
     "SQLite", "ocean", "fmm", "memcached", "pbzip2", "ctrace", "bbuf",
     "AVV", "DCL", "DBM", "RW",
@@ -568,11 +570,10 @@ def _alternates(portend, inputs, always):
 
 
 class TestRegistryAlternates:
-    @pytest.mark.parametrize("interp", ["tree", "compiled"])
     @pytest.mark.parametrize("name", all_workload_names(include_synthetic=True))
-    def test_every_alternate_matches_the_interpreted_run(self, name, interp):
+    def test_every_alternate_matches_the_interpreted_run(self, name):
         workload = load_workload(name)
-        config = PortendConfig(interp=interp)
+        config = PortendConfig()
         # A predicate that always holds changes no outcome: the oracle.
         always = SemanticPredicate("always", lambda state: True)
         runs = []
@@ -584,6 +585,23 @@ class TestRegistryAlternates:
         assert all(entry[2] == 0 for entry in slow)
         if name in ("pbzip2", "memcached", "fmm", "ocean"):
             assert sum(entry[2] for entry in fast) > 0
+
+
+class TestRegistryClassifications:
+    @pytest.mark.parametrize("name", all_workload_names(include_synthetic=True))
+    def test_every_verdict_matches_the_interpreted_run(self, name, monkeypatch):
+        fast = _analysis_outcome(name)
+        # No probe: every run interprets each spin step, the oracle.
+        monkeypatch.setattr(Executor, "_spin_probe", lambda self, *args: None)
+        slow = _analysis_outcome(name)
+        assert fast["trace"] == slow["trace"], name
+        assert fast["classified"] == slow["classified"], name
+        assert fast["prune_reasons"] == slow["prune_reasons"], name
+        assert slow["counters"]["spin_steps_skipped"] == 0
+        skipped = fast["counters"].pop("spin_steps_skipped")
+        fast["counters"]["statements"] += skipped
+        slow["counters"].pop("spin_steps_skipped")
+        assert fast["counters"] == slow["counters"], name
 
 
 class TestSkippedWorkCounters:
