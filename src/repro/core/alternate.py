@@ -10,7 +10,7 @@ stage:
   checkpoint at every stop of one pass replaces re-executing the prefix
   once per race (the KLEE/Cloud9 executor idiom).  :func:`replay_primary` is
   the per-race reference replay, and :class:`PrimaryReplayStore` keeps the
-  passes of one sharing unit.
+  passes (and the multi-path exploration logs) of one sharing unit.
 * :func:`run_alternate` primes a new execution with the pre-race checkpoint
   and enforces the alternate ordering of the racing accesses by preempting
   the thread that performed the first access and forcing the other racing
@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.config import PortendConfig
 from repro.core.spec import SemanticPredicate, SpecChecker, diagnose_timeout
 from repro.detection.race_report import RaceReport
+from repro.explore.paths import ExplorationLogs
 from repro.lang.ast import SYNC_STMTS
 from repro.lang.program import Program
 from repro.record_replay.trace import ExecutionTrace
@@ -424,12 +425,19 @@ class PrimaryReplayStore:
     inputs are served from that pass.  :meth:`release` drops a race's
     replays once its classification returns, so the store never holds more
     than the unit's in-flight races.
+
+    The unit's multi-path explorations share the same way: ``explorations``
+    holds one breadth-first search per input set, which each race's
+    :class:`~repro.explore.paths.MultiPathExplorer` filters for its own
+    race, and which goes when the last of its races is released.
     """
 
     def __init__(self, race_ids: Iterable[int] = ()) -> None:
+        race_ids = list(race_ids)
         #: races of the unit not yet released, in classification order
         self._live: Dict[int, None] = dict.fromkeys(race_ids)
         self._passes: Dict[Tuple, Dict[int, PrimaryReplay]] = {}
+        self.explorations = ExplorationLogs(race_ids)
         #: one entry per replay pass run so far: its width and whether it
         #: replayed the trace's own inputs (``primary_replay`` events)
         self.pass_log: List[Dict] = []
@@ -472,6 +480,7 @@ class PrimaryReplayStore:
     def release(self, race_id: int) -> None:
         """Forget ``race_id``: its classification has returned."""
         self._live.pop(race_id, None)
+        self.explorations.release(race_id)
         for key in list(self._passes):
             self._passes[key].pop(race_id, None)
             if not self._passes[key]:

@@ -337,14 +337,18 @@ def classify_multipath(
 ) -> MultiPathResult:
     """Run the multi-path (and optionally multi-schedule) analysis for a race.
 
-    Serial composition of the per-path split: explore the primaries once,
-    analyze them in path order (stopping at the first specification
+    Serial composition of the per-path split: explore the primaries once
+    (reading the unit's shared search in ``replays``), analyze them in path
+    order (stopping at the first specification
     violation, whose later siblings the merge would discard anyway), then
     merge.  The engine's per-path parallel mode runs the same
     :func:`analyze_primary_path` bodies in worker processes and the same
     :func:`merge_path_verdicts` reduction in the parent.
     """
-    explorer = MultiPathExplorer.for_config(executor, program, trace, race, config)
+    explorer = MultiPathExplorer.for_config(
+        executor, program, trace, race, config,
+        explorations=replays.explorations if replays is not None else None,
+    )
     primaries = explorer.explore()
     verdicts: List[PathVerdict] = []
     for path in primaries:

@@ -37,7 +37,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.categories import ClassifiedRace
 from repro.core.config import PortendConfig
@@ -50,6 +50,35 @@ TRACE_FORMAT_VERSION = 1
 CLASSIFICATION_FORMAT_VERSION = 1
 
 
+#: per class, the attributes :func:`_canonical` reduces an instance to: a
+#: statement's slots along the MRO minus ``uid``, a dataclass's fields, or
+#: None for any other class
+_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+#: leaves :func:`_canonical` returns as they are
+_PRIMITIVES = (bool, int, float, str, bytes, type(None))
+
+
+def _fields(klass: type) -> Optional[Tuple[str, ...]]:
+    if klass not in _FIELDS:
+        import dataclasses
+
+        from repro.lang.ast import Stmt
+
+        names = None
+        if issubclass(klass, Stmt):
+            names = tuple(
+                slot
+                for base in klass.__mro__
+                for slot in getattr(base, "__slots__", ())
+                if slot != "uid"
+            )
+        elif dataclasses.is_dataclass(klass):
+            names = tuple(f.name for f in dataclasses.fields(klass))
+        _FIELDS[klass] = names
+    return _FIELDS[klass]
+
+
 def _canonical(obj):
     """Recursively reduce an object graph to a process-independent form.
 
@@ -60,41 +89,36 @@ def _canonical(obj):
     order of derived dicts).  Statements reduce to (type, slot values)
     without ``uid``; sets and dict items are sorted; everything else
     bottoms out in primitives or a deterministic repr.
+
+    Dict items sort by the repr of the canonical ``(key, value)`` pair.
+    Distinct ``str`` keys already differ within their reprs, none of which
+    is a prefix of another, so when every key is a ``str`` the key's repr
+    alone gives the same order without rendering the values.
     """
-    import dataclasses
-
-    from repro.lang.ast import Stmt
-
-    if isinstance(obj, Stmt):
-        slots = [
-            slot
-            for klass in type(obj).__mro__
-            for slot in getattr(klass, "__slots__", ())
-            if slot != "uid"
-        ]
+    klass = type(obj)
+    if klass in _PRIMITIVES:
+        return obj
+    names = _fields(klass)
+    if names is not None:
         return (
-            type(obj).__name__,
-            tuple((slot, _canonical(getattr(obj, slot))) for slot in slots),
-        )
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (
-            type(obj).__name__,
-            tuple(
-                (f.name, _canonical(getattr(obj, f.name)))
-                for f in dataclasses.fields(obj)
-            ),
+            klass.__name__,
+            tuple((name, _canonical(getattr(obj, name))) for name in names),
         )
     if isinstance(obj, (list, tuple)):
         return tuple(_canonical(item) for item in obj)
     if isinstance(obj, (set, frozenset)):
         return tuple(sorted((_canonical(item) for item in obj), key=repr))
     if isinstance(obj, dict):
+        if all(type(key) is str for key in obj):
+            return tuple(
+                (key, _canonical(obj[key])) for key in sorted(obj, key=repr)
+            )
         return tuple(
             sorted(
                 ((_canonical(k), _canonical(v)) for k, v in obj.items()), key=repr
             )
         )
-    if isinstance(obj, (bool, int, float, str, bytes, type(None))):
+    if isinstance(obj, _PRIMITIVES):
         return obj
     return repr(obj)
 

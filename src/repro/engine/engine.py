@@ -327,8 +327,9 @@ class _Recording:
     trace: ExecutionTrace
     detection_seconds: float
     cached: bool
-    #: program content hash, computed once per workload when caching is on
-    #: and reused by the classification-cache keys
+    #: program content hash, computed once per workload by the record stage
+    #: (cached or not) and reused by the classification-cache keys, the
+    #: worker solver caches and the cost model
     program_fingerprint: str = ""
 
 

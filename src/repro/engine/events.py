@@ -32,6 +32,9 @@ kind                         fields
 ``primary_replay``           ``races`` (races the pass served),
                              ``trace_inputs`` (bool: the trace's own inputs)
                              -- one per primary replay pass (worker)
+``exploration``              ``races`` (races the search tracks), ``states``
+                             (states this task ran into it) -- one per task
+                             that extends a shared multi-path search (worker)
 ``solver_query``             ``backend``, ``result``, ``cached``,
                              ``worker_hit``, ``seconds`` (worker, per query)
 ``solver_stats``             ``backend`` + a ``SolverStats.to_dict()`` snapshot
@@ -74,7 +77,8 @@ kind                         fields
 Folding semantics (:func:`fold_events`): ``trace_recorded`` increments
 ``traces_recorded``; ``cache`` events increment the hit/miss counter of
 their tier; ``classification_computed`` and ``primary`` count themselves;
-``primary_replay`` counts ``primary_replays``;
+``primary_replay`` counts ``primary_replays`` and ``exploration``
+``explorations``;
 ``solver_stats`` snapshots are absorbed into the ``solver_*`` counters
 (``solver_query`` events are *per-query detail* and deliberately **not**
 folded -- the per-task snapshot already aggregates them, and folding both
@@ -114,6 +118,7 @@ EVENT_KINDS = (
     "classification_computed",
     "primary",
     "primary_replay",
+    "exploration",
     "solver_query",
     "solver_stats",
     "interp_stats",
@@ -255,6 +260,8 @@ def fold_events(events: Iterable[Event]) -> EngineStats:
                 stats.primaries_reexplored += 1
         elif kind == "primary_replay":
             stats.primary_replays += 1
+        elif kind == "exploration":
+            stats.explorations += 1
         elif kind == "solver_stats":
             # The per-task aggregate; per-query ``solver_query`` events are
             # detail for histograms and must not be folded on top.
@@ -382,6 +389,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
     decisions: Dict[str, Dict[str, float]] = {}
     speculation = {"races": 0, "predicted": 0, "hits": 0, "wasted": 0}
     replays = {"passes": 0, "races": 0, "trace_inputs": 0}
+    explorations = {"runs": 0, "races": 0, "states": 0}
     recovery: Dict[str, object] = {
         "retries": 0,
         "respawns": 0,
@@ -445,6 +453,10 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
             replays["passes"] += 1
             replays["races"] += int(event.get("races", 0))
             replays["trace_inputs"] += int(bool(event.get("trace_inputs")))
+        elif kind == "exploration":
+            explorations["runs"] += 1
+            explorations["races"] += int(event.get("races", 0))
+            explorations["states"] += int(event.get("states", 0))
         elif kind == "task_retry":
             recovery["retries"] += 1
             _recovery_stage(event, "retries")
@@ -503,6 +515,7 @@ def summarize_events(events: Sequence[Event]) -> Dict[str, object]:
         "scheduler_decisions": dict(sorted(decisions.items())),
         "speculation": speculation,
         "primary_replays": replays,
+        "explorations": explorations,
         "recovery": recovery,
     }
 
@@ -563,6 +576,17 @@ def render_events_info(events: Sequence[Event]) -> str:
         )
     else:
         lines.append("  (no primary_replay events)")
+    lines.append("")
+    lines.append("exploration sharing:")
+    explorations = summary["explorations"]
+    if explorations["runs"]:
+        lines.append(
+            f"  explorations={explorations['runs']} "
+            f"states={explorations['states']} "
+            f"races_per_exploration={explorations['races'] / explorations['runs']:.1f}"
+        )
+    else:
+        lines.append("  (no exploration events)")
     lines.append("")
     lines.append("recovery:")
     recovery = summary["recovery"]

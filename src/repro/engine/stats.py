@@ -87,6 +87,10 @@ class EngineStats:
     #: race of its sharing unit (a race-granularity chunk's trace, or one
     #: trace's queue when serial)
     primary_replays: int = 0
+    #: multi-path searches run by dispatched tasks: one per task that ran
+    #: states into its unit's shared search (which every race of the unit
+    #: reads)
+    explorations: int = 0
     #: task executions re-submitted after a worker crash, deadline expiry,
     #: or malformed result (supervision layer)
     task_retries: int = 0
@@ -130,6 +134,7 @@ class EngineStats:
         self.interp_cow_copies = 0
         self.spin_steps_skipped = 0
         self.primary_replays = 0
+        self.explorations = 0
         self.task_retries = 0
         self.pool_respawns = 0
         self.tasks_quarantined = 0
@@ -164,6 +169,7 @@ class EngineStats:
         self.interp_cow_copies += other.interp_cow_copies
         self.spin_steps_skipped += other.spin_steps_skipped
         self.primary_replays += other.primary_replays
+        self.explorations += other.explorations
         self.task_retries += other.task_retries
         self.pool_respawns += other.pool_respawns
         self.tasks_quarantined += other.tasks_quarantined
@@ -230,6 +236,7 @@ class EngineStats:
             f"interp cow copies={self.interp_cow_copies}, "
             f"spin steps skipped={self.spin_steps_skipped}, "
             f"primary replays={self.primary_replays}, "
+            f"explorations={self.explorations}, "
             f"task retries={self.task_retries}, "
             f"pool respawns={self.pool_respawns}, "
             f"tasks quarantined={self.tasks_quarantined}, "

@@ -268,8 +268,8 @@ def execute_payload_chunk(worker, payloads: Sequence[Mapping]) -> list:
     The classification tasks of one trace in the chunk form one primary
     replay sharing unit: they run through one
     :class:`~repro.core.alternate.PrimaryReplayStore`, so a single replay
-    pass serves all of their races.  The serial dispatcher runs a whole
-    queue through this same entry.
+    pass and a single multi-path search serve all of their races.  The
+    serial dispatcher runs a whole queue through this same entry.
     """
     if worker is not execute_task:
         return [worker(payload) for payload in payloads]
@@ -289,11 +289,20 @@ def execute_payload_chunk(worker, payloads: Sequence[Mapping]) -> list:
     ]
 
 
-def _emit_replays(events: EventBuffer, replays, since: int) -> None:
-    """One ``primary_replay`` event per pass the task's store ran since
-    ``since`` (the task that triggers a pass runs it and reports it)."""
-    for entry in replays.pass_log[since:]:
+def _sharing_marks(replays) -> Tuple[int, int]:
+    """Where the store's pass and exploration logs stand before a task."""
+    return len(replays.pass_log), len(replays.explorations.runs)
+
+
+def _emit_sharing(events: EventBuffer, replays, since: Tuple[int, int] = (0, 0)) -> None:
+    """One ``primary_replay`` event per pass and one ``exploration`` event
+    per search extension the task's store ran since ``since`` (the task that
+    runs a pass or extends a search reports it)."""
+    passes, runs = since
+    for entry in replays.pass_log[passes:]:
         events.emit("primary_replay", **entry)
+    for entry in replays.explorations.runs[runs:]:
+        events.emit("exploration", **entry)
 
 
 def execute_task(payload: Mapping, replays=None) -> Dict:
@@ -319,9 +328,9 @@ def execute_task(payload: Mapping, replays=None) -> Dict:
     race = trace.race_by_id(task.race_id)
     if replays is None:
         replays = PrimaryReplayStore([task.race_id])
-    since = len(replays.pass_log)
+    since = _sharing_marks(replays)
     classified = portend.classify_race(trace, race, replays).to_dict()
-    _emit_replays(events, replays, since)
+    _emit_sharing(events, replays, since)
     snapshot, event_list = _finish_task(
         events, "classify", task.workload, started, portend, race=task.race_id
     )
@@ -452,7 +461,6 @@ def execute_plan_task(payload: Mapping) -> Dict:
         predicates=predicates,
         replays=replays,
     )
-    _emit_replays(events, replays, 0)
     plan = {
         "race_id": task.race_id,
         "single": outcome.to_dict(),
@@ -464,7 +472,8 @@ def execute_plan_task(payload: Mapping) -> Dict:
     }
     if needs_multipath(outcome, config):
         explorer = MultiPathExplorer.for_config(
-            portend.executor, portend.program, trace, race, config
+            portend.executor, portend.program, trace, race, config,
+            explorations=replays.explorations,
         )
         primaries = explorer.explore()
         plan.update(
@@ -474,6 +483,7 @@ def execute_plan_task(payload: Mapping) -> Dict:
             states_pruned=explorer.states_pruned,
             prune_reasons=list(explorer.prune_reasons),
         )
+    _emit_sharing(events, replays)
     plan["seconds"] = time.perf_counter() - started
     snapshot, event_list = _finish_task(
         events, "plan", task.workload, started, portend, race=task.race_id
@@ -554,6 +564,7 @@ def execute_path_task(payload: Mapping) -> Dict:
     race = trace.race_by_id(task.race_id)
 
     started = time.perf_counter()
+    replays = PrimaryReplayStore([task.race_id])
     reexplored = task.primary is None
     if task.primary is not None:
         path = PrimaryPath.from_dict(task.primary)
@@ -564,13 +575,15 @@ def execute_path_task(payload: Mapping) -> Dict:
             )
     else:
         path = explore_primary(
-            portend.executor, portend.program, trace, race, config, task.path_index
+            portend.executor, portend.program, trace, race, config, task.path_index,
+            explorations=replays.explorations,
         )
         if path is None:
             if task.speculative:
                 # A speculative index beyond the race's actual path count is
                 # an expected misprediction, not a correctness bug: report it
                 # as missing and let the driver discard and recount it.
+                _emit_sharing(events, replays)
                 seconds = time.perf_counter() - started
                 snapshot, event_list = _finish_task(
                     events,
@@ -598,7 +611,6 @@ def execute_path_task(payload: Mapping) -> Dict:
                 f"exploration of race {task.race_id} in {task.workload!r} yielded no "
                 f"primary path at index {task.path_index}"
             )
-    replays = PrimaryReplayStore([task.race_id])
     verdict = analyze_primary_path(
         portend.executor,
         portend.program,
@@ -609,7 +621,7 @@ def execute_path_task(payload: Mapping) -> Dict:
         predicates=predicates,
         replays=replays,
     )
-    _emit_replays(events, replays, 0)
+    _emit_sharing(events, replays)
     seconds = time.perf_counter() - started
     events.emit("primary", shipped=not reexplored)
     snapshot, event_list = _finish_task(

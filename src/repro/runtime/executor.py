@@ -1124,6 +1124,10 @@ class Executor:
         listeners: ListenerGroup,
         value: Optional[Value],
     ) -> None:
+        if not listeners.listeners:
+            # Nobody observes the access (an alternate's post-race
+            # continuation, a replay without predicates): build nothing.
+            return
         stack: Tuple = ()
         if self.config.record_access_stacks:
             stack = state.thread(tid).stack_trace(self.program)

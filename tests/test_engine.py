@@ -19,7 +19,7 @@ from repro.symex.expr import (
     value_from_dict,
     value_to_dict,
 )
-from repro.workloads import load_workload
+from repro.workloads import all_workload_names, load_workload
 
 
 def _record_trace(name="bbuf"):
@@ -42,6 +42,27 @@ def _classification_signature(classified):
         )
         for item in classified
     ]
+
+
+#: every registry program's content hash.  Trace-cache keys include it, so a
+#: faster or reorganised canonicalization must leave every digest as it is
+#: (a changed digest silently invalidates every cached trace).
+REGISTRY_FINGERPRINTS = {
+    "SQLite": "2e1e4347c3d477134fd6f4ea1e7e29103173fac89b0c229f4e8a9d68c42de874",
+    "ocean": "c17208156ec352443570342fb5bcc53cdd0fa8f608dfac8653e2e59e90aa6db7",
+    "fmm": "20311af6df8f2dc041e9290bde1584d5b879c7600c7542bd69e60ee52e31696b",
+    "memcached": "1c9ac5a109bd4567832aa150226c66043623ad821fdf98c1e12f2aa5c55f0794",
+    "pbzip2": "b921bd37510810c24fa5b239a1eb1c6db3b0615ddc8c40d3f39c5454449ab02c",
+    "ctrace": "59c0488b77335eedac65f29f6089f3a1be016935786729c9d6866698f604774f",
+    "bbuf": "1b23d551f9483166e0eab5679a6ab86f638b03968187b2abd474687458d23761",
+    "AVV": "f850f9f1b02b5e4c5f4459fb153146c2c46ed80d63ade21caa1f740aad719e8e",
+    "DCL": "3e3e6e53343cf7f03fe493f88aa8e845be2474e27b992b2fd5189fe7d815d1e7",
+    "DBM": "dffa1f53417f36dab385e460789cf78090a83e2fd39e3aaa86f632fed73fb635",
+    "RW": "1e7ba3aad8585b1c50c6df2c96c8e5f215b95795c4cde4a8a38036ce40218694",
+    "stress": "327b83d3dc85a1431cc0a8ed618fa48796c972802a61aaa94a769ddbf56ac452",
+    "stress_deep": "145144c1a217c893c3afb0982b3822dbff8685d12d4ba41a97be3c6a0a6ff6b5",
+    "stress_harmful": "3cff1642440cf3e4da9e7f9fd007912d9993954812f9adf91cdee940a2c5c868",
+}
 
 
 class TestValueSerialization:
@@ -238,6 +259,15 @@ class TestTraceCache:
         first = TraceCache.program_fingerprint(load_workload("bbuf").program)
         second = TraceCache.program_fingerprint(load_workload("bbuf").program)
         assert first == second  # Stmt.uid (a process-global counter) is excluded
+
+    def test_program_fingerprints_are_pinned(self):
+        names = all_workload_names(include_synthetic=True)
+        assert len(names) == 14
+        digests = {
+            name: TraceCache.program_fingerprint(load_workload(name).program)
+            for name in names
+        }
+        assert digests == REGISTRY_FINGERPRINTS
 
 
 class TestExperimentsCli:

@@ -123,6 +123,8 @@ class TestFoldSemantics:
             make_event("primary", shipped=True),
             make_event("primary", shipped=False),
             make_event("primary_replay", races=3, trace_inputs=True),
+            make_event("exploration", races=4, states=9),
+            make_event("exploration", races=4, states=3),
             make_event(
                 "solver_stats",
                 backend="default",
@@ -154,6 +156,12 @@ class TestFoldSemantics:
         assert stats.primaries_shipped == 1
         assert stats.primaries_reexplored == 1
         assert stats.primary_replays == 1
+        assert stats.explorations == 2
+        assert "explorations=2," in stats.summary()
+        assert (
+            "exploration sharing:\n  explorations=2 states=12 races_per_exploration=4.0"
+            in render_events_info(events)
+        )
         assert stats.solver_queries == 7
         assert stats.solver_cache_hits == 2
         assert stats.solver_cache_misses == 5

@@ -7,6 +7,9 @@
 * **copy-on-write against the deep copy** -- every registry workload must
   analyse exactly as it does when each fork is an eager deep copy
   (``ExecutionState.clone_eager``), the reference the COW fork replaced;
+* **unobserved accesses** -- with no listener the executor builds no
+  ``MemoryAccess``; a run must end exactly as it does under a listener
+  that observes every access and changes nothing;
 * **retired kernel knob** -- configs written while ``PortendConfig`` still
   carried an ``interp`` field must load and key the caches exactly as they
   did then, so cache directories from that time stay warm.
@@ -18,6 +21,8 @@ from repro.core.config import PortendConfig
 from repro.engine.cache import ClassificationCache, TraceCache
 from repro.core.portend import Portend
 from repro.runtime.executor import Executor
+from repro.runtime.listeners import ExecutionListener
+from repro.runtime.scheduler import RoundRobinPolicy
 from repro.runtime.state import ExecutionState
 from repro.workloads import all_workload_names, load_workload
 
@@ -231,3 +236,45 @@ class TestCopyOnWriteAgainstEagerClone:
         cow_copies = cow["counters"].pop("cow_copies")
         assert eager["counters"].pop("cow_copies") <= cow_copies
         assert cow["counters"] == eager["counters"], name
+
+
+class _InertListener(ExecutionListener):
+    """Observes every access and changes nothing (not even spin skipping)."""
+
+    spin_skip_safe = True
+
+    def __init__(self):
+        self.accesses = 0
+
+    def on_access(self, state, access):
+        self.accesses += 1
+
+
+def _unobserved_run(name, listeners):
+    """A whole run of the workload, half its inputs symbolic so it forks."""
+    workload = load_workload(name)
+    executor = Executor(workload.program)
+    state = executor.initial_state(
+        concrete_inputs=dict(workload.inputs),
+        symbolic_inputs=list(workload.program.input_declarations())[:2],
+    )
+    result = executor.run(state, policy=RoundRobinPolicy(), listeners=listeners)
+    return {
+        "status": result.status,
+        "steps": result.steps_executed,
+        "forks": len(result.forks),
+        "outcome": state.outcome,
+        "outputs": state.output_summary(),
+        "memory": state.memory.snapshot(),
+        "path_condition": list(state.path_condition.constraints),
+        "counters": executor.counters.to_dict(),
+    }
+
+
+class TestUnobservedAccesses:
+    @pytest.mark.parametrize("name", all_workload_names(include_synthetic=True))
+    def test_run_matches_the_run_under_an_inert_listener(self, name):
+        inert = _InertListener()
+        observed = _unobserved_run(name, [inert])
+        assert inert.accesses > 0
+        assert _unobserved_run(name, []) == observed, name

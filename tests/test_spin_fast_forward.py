@@ -609,9 +609,9 @@ class TestSkippedWorkCounters:
         engine = AnalysisEngine(options=EngineOptions(parallel=0))
         engine.analyze(list(TABLE1))
         stats = engine.last_run_stats
-        assert (stats.interp_statements, stats.spin_steps_skipped) == (14_956, 56_298)
+        assert (stats.interp_statements, stats.spin_steps_skipped) == (12_259, 56_298)
         # The statements the interpreter ran before spin fast-forward.
-        assert stats.interp_statements + stats.spin_steps_skipped == 71_254
+        assert stats.interp_statements + stats.spin_steps_skipped == 68_557
         assert "spin steps skipped=56298" in stats.summary()
         assert "spin_steps_skipped=56298" in render_events_info(engine.last_run_events)
 
@@ -619,4 +619,4 @@ class TestSkippedWorkCounters:
         engine = AnalysisEngine(options=EngineOptions(parallel=2))
         engine.analyze(list(TABLE1 + STRESS))
         stats = engine.last_run_stats
-        assert (stats.interp_statements, stats.spin_steps_skipped) == (216_820, 56_298)
+        assert (stats.interp_statements, stats.spin_steps_skipped) == (163_508, 56_298)
